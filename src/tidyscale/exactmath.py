@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 class _PlusInfinity:
@@ -335,11 +335,6 @@ def _smith_inplace(a, pinv=None, q=None):
         if q is not None:
             _col_addmul(q, dst, src, lam)
 
-    def col_negate(j):
-        _col_negate(a, j)
-        if q is not None:
-            _col_negate(q, j)
-
     t = 0
     while t < n and t < m:
         # find a pivot of least magnitude
@@ -480,36 +475,6 @@ def mat_inverse(a):
     return [row[n:] for row in work]
 
 
-def rat_rank(a):
-    work = [list(map(Fraction, row)) for row in a]
-    n = len(work)
-    m = len(work[0]) if n else 0
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def rat_solve(a, b):
-    """Solve a . x = b for a square invertible a; b a vector or matrix."""
-    vec = not isinstance(b[0], (list, tuple))
-    bm = [[x] for x in b] if vec else [list(r) for r in b]
-    x = mat_mul(mat_inverse(a), bm)
-    return [row[0] for row in x] if vec else x
-
-
 def rat_kernel(a):
     """Basis of the rational null space {x : a x = 0}, list of vectors."""
     n = len(a)
@@ -541,20 +506,37 @@ def rat_kernel(a):
     return basis
 
 
+def _integer_scaled(rows):
+    """(d, d * rows) for the least positive integer d making it integral."""
+    rows = frac_matrix(rows)
+    d = 1
+    for row in rows:
+        for x in row:
+            d = lcm(d, x.denominator)
+    return d, [[int(x * d) for x in row] for row in rows]
+
+
 def charpoly(a):
-    """Coefficients [c_0, ..., c_{n-1}, 1] of det(x I - a), exact."""
+    """Coefficients [c_0, ..., c_{n-1}, 1] of det(x I - a), exact.
+
+    Faddeev-LeVerrier on the integer matrix b = d a, d the common
+    denominator of a.  Every coefficient b_i of det(x I - b) is an integer,
+    so each division is exact, and det(x I - a) = d^-n det(d x I - b) gives
+    c_i = b_i d^(i - n).
+    """
     n = len(a)
-    a = frac_matrix(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = mat_identity(n)
+    d, b = _integer_scaled(a)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    bm = [list(row) for row in b]  # b M_k, starting from M_1 = I
     for k in range(1, n + 1):
-        am = mat_mul(a, mk)
-        ck = -sum(am[i][i] for i in range(n)) / k
+        ck = -sum(bm[i][i] for i in range(n)) // k
         coeffs[n - k] = ck
         if k < n:
-            mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
+            for i in range(n):
+                bm[i][i] += ck
+            bm = mat_mul(b, bm)
+    return [Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)]
 
 
 def factor_over_q(coeffs):
@@ -579,10 +561,3 @@ def factor_over_q(coeffs):
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 
-
-def vec_content(v):
-    """gcd of the entries, 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g

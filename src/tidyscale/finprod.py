@@ -665,12 +665,6 @@ def displacement_index(alpha, w, cap=DEFAULT_CAP):
 # forward parts with a marching-window limit certificate
 
 
-def _translate(w, t):
-    return WindowedSubgroup(
-        w.ambient, w.lo + t, w.hi + t, w.elements, w.left, w.right
-    )
-
-
 def _tails_only(amb, left, right):
     return WindowedSubgroup(amb, 0, 0, frozenset({()}), left, right)
 

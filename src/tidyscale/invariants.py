@@ -65,10 +65,6 @@ def exponents_word(vector):
     return tuple(out)
 
 
-def _invert(word):
-    return tuple(-x for x in reversed(word))
-
-
 # ---------------------------------------------------------------------------
 # backends
 
@@ -80,33 +76,49 @@ class DiagonalBackend:
         gens = list(generators)
         if not gens:
             raise InputError("at least one generator required")
+        _pd._check_family(gens)
         self.generators = gens
         self.prime = gens[0].prime
-        if tidy is None:
-            tidy = (
-                _pd.common_tidy(gens)
-                if len(gens) > 1
-                else _pd.step1_tidy(gens[0])
-            )
-        self.tidy = tidy
-        self._records, self._inert = _pd.family_eigenfactors(gens, tidy)
+        # The tidy lattice and the eigenfactors are built on first use:
+        # scales and modules are read off characteristic polynomials alone.
+        self._tidy = tidy
+        self._eigen = None
+        # Word automorphisms by exponent vector; exact because the family
+        # was checked to commute.
+        self._words = {}
 
     @property
     def generator_count(self):
         return len(self.generators)
 
+    @property
+    def tidy(self):
+        if self._tidy is None:
+            gens = self.generators
+            self._tidy = (
+                _pd.common_tidy(gens)
+                if len(gens) > 1
+                else _pd.step1_tidy(gens[0])
+            )
+        return self._tidy
+
+    def _eigenfactor_data(self):
+        """(records, inert) of the family at the tidy lattice."""
+        if self._eigen is None:
+            self._eigen = _pd.family_eigenfactors(self.generators, self.tidy)
+        return self._eigen
+
     def automorphism(self, word):
-        out = self.generators[0].power(0)
-        for letter in word:
-            g = self.generators[abs(letter) - 1]
-            out = out.compose(g if letter > 0 else g.inverse())
-        return out
+        exps = word_exponents(word, self.generator_count)
+        if exps not in self._words:
+            self._words[exps] = _pd.word(self.generators, exps)
+        return self._words[exps]
 
     def eigenfactors(self):
-        return [(rec.key, rec) for rec in self._records]
+        return [(rec.key, rec) for rec in self._eigenfactor_data()[0]]
 
     def inert_summary(self):
-        rank = self._inert.rank
+        rank = self._eigenfactor_data()[1].rank
         return f"inert sublattice of rank {rank}" if rank else None
 
     def relative_pair(self, handle, word):
@@ -470,13 +482,22 @@ def _common_base(indices):
     best = smallest
     m = 2
     while 2**m <= smallest:
-        root = round(smallest ** (1.0 / m))
-        for cand in (root - 1, root, root + 1):
-            if cand >= 2 and cand**m == smallest:
-                if all(_power_exponent(x, cand) is not None for x in indices):
-                    best = cand
+        root = _integer_root(smallest, m)
+        if root**m == smallest:
+            if all(_power_exponent(x, root) is not None for x in indices):
+                best = root
         m += 1
     return best
+
+
+def _integer_root(x, m):
+    """The largest integer r with r**m <= x, for integers x >= 1, m >= 1."""
+    r = 1 << -(-x.bit_length() // m)  # 2^ceil(bits / m) exceeds the root
+    while True:
+        s = ((m - 1) * r + x // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
 
 
 def _power_exponent(x, base):

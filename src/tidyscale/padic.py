@@ -28,6 +28,7 @@ from .errors import (
 )
 from .exactmath import (
     IntegerMatrix,
+    _integer_scaled,
     charpoly,
     factor_over_q,
     hermite_form,
@@ -420,24 +421,41 @@ class PAdicAutomorphism:
             raise InputError("automorphism matrix must be square and nonempty")
         if not is_prime(self.prime):
             raise InputError(f"{self.prime!r} is not a prime")
-        if _rat_det(rows) == 0:
+        det = _rat_det(rows)
+        if det == 0:
             from .errors import SingularityError
 
             raise SingularityError("automorphism matrix is singular")
+        # Derived data computed at most once per instance.  It is not a
+        # dataclass field, so equality, hashing and repr ignore it.
+        object.__setattr__(self, "_cache", {"det": det})
+
+    def _cached(self, key, compute):
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
 
     @property
     def dimension(self):
         return len(self.matrix)
 
     def det(self):
-        return _rat_det(self.matrix)
+        return self._cache["det"]
 
     def charpoly(self):
-        return charpoly([list(r) for r in self.matrix])
+        return list(
+            self._cached("charpoly", lambda: charpoly([list(r) for r in self.matrix]))
+        )
 
     def inverse(self):
-        inv = mat_inverse([list(r) for r in self.matrix])
-        return PAdicAutomorphism(tuple(tuple(r) for r in inv), self.prime)
+        def compute():
+            inv = mat_inverse([list(r) for r in self.matrix])
+            out = PAdicAutomorphism(tuple(tuple(r) for r in inv), self.prime)
+            out._cache["inverse"] = self
+            return out
+
+        return self._cached("inverse", compute)
 
     def compose(self, other):
         if self.prime != other.prime or self.dimension != other.dimension:
@@ -476,11 +494,11 @@ def word(generators, exponents):
         raise InputError("one exponent per generator required")
     if not gens:
         raise InputError("empty generator list")
-    out = gens[0].power(0)
+    out = None
     for g, e in zip(gens, exps):
         if e:
-            out = out.compose(g.power(e))
-    return out
+            out = g.power(e) if out is None else out.compose(g.power(e))
+    return gens[0].power(0) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +557,15 @@ class SlopeDecomposition:
         return cols
 
 
-def _poly_of_matrix(coeffs, rows):
-    n = len(rows)
-    out = [[Fraction(coeffs[-1]) * (i == j) for j in range(n)] for i in range(n)]
-    for c in reversed(coeffs[:-1]):
-        out = mat_mul(rows, out)
+def _poly_of_matrix(coeffs, b):
+    """f(b) for integer coefficients [f_0, ..., f_{k-1}, 1] and an integer
+    matrix b, by Horner's rule."""
+    n = len(b)
+    out = [list(row) for row in b]
+    for i in range(n):
+        out[i][i] += coeffs[-2]
+    for c in reversed(coeffs[:-2]):
+        out = mat_mul(b, out)
         for i in range(n):
             out[i][i] += c
     return out
@@ -555,13 +577,17 @@ def slope_decomposition(alpha):
     Requires each rational-irreducible factor of the characteristic
     polynomial to carry a single Newton-polygon slope; the subspace for a
     slope is the kernel of the product of those factors at alpha, each taken
-    to its multiplicity.
+    to its multiplicity.  Computed once per automorphism.
     """
+    return alpha._cached("slopes", lambda: _slope_decomposition(alpha))
+
+
+def _slope_decomposition(alpha):
     p = alpha.prime
     n = alpha.dimension
-    rows = [list(r) for r in alpha.matrix]
     by_slope = {}
-    for coeffs, mult in factor_over_q(alpha.charpoly()):
+    factors = alpha._cached("factors", lambda: factor_over_q(alpha.charpoly()))
+    for coeffs, mult in factors:
         vals = newton_polygon(list(coeffs), p).root_valuations()
         if len(vals) != 1:
             raise SlopeSeparabilityError(
@@ -570,13 +596,24 @@ def slope_decomposition(alpha):
                 + _poly_str(coeffs),
             )
         by_slope.setdefault(vals[0][0], []).append((coeffs, mult))
+    # Work with b = d alpha.  A monic factor f of degree k becomes
+    # d^k f(x / d), a monic factor of b's integral characteristic polynomial
+    # and so integral itself (Gauss's lemma), and its value at b is d^k f(alpha).
+    # Nonzero scalar multiples have the same kernel, and rat_kernel returns
+    # the reduced echelon basis, so the bases are those of the products at
+    # alpha.
+    d, b = _integer_scaled(alpha.matrix)
     pieces = []
     for slope in sorted(by_slope):
-        prod = mat_identity(n)
+        prod = None
         for coeffs, mult in by_slope[slope]:
-            fm = _poly_of_matrix(list(coeffs), rows)
+            k = len(coeffs) - 1
+            scaled = [c * d ** (k - i) for i, c in enumerate(coeffs)]
+            if any(c.denominator != 1 for c in scaled):
+                raise RuntimeError("rescaled factor is not integral (internal)")
+            fm = _poly_of_matrix([c.numerator for c in scaled], b)
             for _ in range(mult):
-                prod = mat_mul(prod, fm)
+                prod = fm if prod is None else mat_mul(prod, fm)
         basis = rat_kernel(prod)
         pieces.append(
             SlopePiece(slope=slope, basis=tuple(tuple(v) for v in basis), dim=len(basis))

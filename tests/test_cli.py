@@ -70,6 +70,42 @@ class TestScaleCommand:
         assert "alpha: s = 1" in out
 
 
+class TestScaleValidation:
+    """scale builds no tidy lattice, yet rejects every family that the
+    lattice-building commands reject, with the same message."""
+
+    def _run(self, tmp_path, capsys, text):
+        path = tmp_path / "family.cfg"
+        path.write_text(text, encoding="utf-8")
+        code = cli.main(["scale", "--config", str(path)])
+        return code, capsys.readouterr()
+
+    def test_noncommuting_pair(self, tmp_path, capsys):
+        code, captured = self._run(
+            tmp_path, capsys,
+            "backend: padic\nprime: 3\ngenerators:\n"
+            "  - name: a\n    matrix:\n      - [1, 1]\n      - [0, 1]\n"
+            "  - name: b\n    matrix:\n      - [1, 0]\n      - [1, 1]\n",
+        )
+        assert code == 2
+        assert captured.err == "error: only commuting families are supported here\n"
+        assert captured.out == ""
+
+    def test_generator_not_slope_separable(self, tmp_path, capsys):
+        # x^2 + x + 3 is irreducible with root valuations 0 and 1 at p = 3
+        code, captured = self._run(
+            tmp_path, capsys,
+            "backend: padic\nprime: 3\ngenerators:\n"
+            "  - name: a\n    matrix:\n      - [0, -3]\n      - [1, -1]\n",
+        )
+        assert code == 2
+        assert captured.err == (
+            "error: irreducible factor carries more than one root valuation:"
+            " x^2 + x + 3\n"
+        )
+        assert captured.out == ""
+
+
 class TestConfigValidation:
     def test_float_rejected_with_path(self, tmp_path, capsys):
         path = tmp_path / "f.cfg"
@@ -277,3 +313,18 @@ class TestEigenfactorsCommand:
         )
         assert cli.main(["eigenfactors", "--config", str(path)]) == 0
         assert "every generator fixes the base" in capsys.readouterr().out
+
+    def test_index_beyond_float_range(self, tmp_path, capsys):
+        # diag(3^-700, 1): the common base of the indices is found by an
+        # exact integer root, never through a float
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            "backend: padic\nprime: 3\ngenerators:\n"
+            f"  - name: a\n    matrix:\n      - [\"1/{3**700}\", 0]\n"
+            "      - [0, 1]\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["eigenfactors", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"ray(-1,): t = {3**700}, rho = (1,), delta = {3**700}^(x1)\n" in out
+        assert "inert sublattice of rank 1" in out

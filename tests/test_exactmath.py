@@ -222,6 +222,40 @@ class TestPolynomials:
     def test_charpoly_nilpotent(self):
         assert charpoly([[0, 1], [0, 0]]) == [0, 0, 1]
 
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.builds(
+                        lambda num, p_exp, other: Fraction(
+                            num, 3**p_exp * other
+                        ),
+                        st.integers(-20, 20),
+                        st.integers(0, 3),
+                        st.sampled_from([1, 1, 2, 5, 7, 10, 49]),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_charpoly_matches_sympy(self, rows):
+        # denominators mix the prime 3 with other primes, so the common
+        # denominator scaled into the integer matrix is a product of both
+        import sympy
+
+        x = sympy.Symbol("x")
+        want = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+        ).charpoly(x).all_coeffs()
+        got = charpoly(rows)
+        assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(want)]
+        assert all(isinstance(c, Fraction) for c in got)
+
     def test_factor_over_q(self):
         # x^4 - 1 = (x-1)(x+1)(x^2+1)
         factors = factor_over_q([-1, 0, 0, 0, 1])

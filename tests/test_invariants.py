@@ -20,6 +20,7 @@ from tidyscale import padic as pd
 from tidyscale.errors import (
     InputError,
     NormalizationError,
+    SlopeSeparabilityError,
     UnsupportedInputError,
 )
 from tidyscale.invariants import (
@@ -184,6 +185,60 @@ class TestDiagonalFamily:
         swap = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
         with pytest.raises(NormalizationError):
             weyl_action(backend, rep.records, swap)
+
+
+class TestLazyDiagonalBackend:
+    def test_scales_and_modules_need_no_tidy_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a tidy lattice was built")
+
+        monkeypatch.setattr(pd, "step1_tidy", refuse)
+        monkeypatch.setattr(pd, "common_tidy", refuse)
+        g1 = pd.PAdicAutomorphism(((F(1, 3), 0, 0), (0, 1, 0), (0, 0, 9)), 3)
+        g2 = pd.PAdicAutomorphism(((1, 0, 0), (0, F(1, 3), 0), (0, 0, 1)), 3)
+        pair = DiagonalBackend([g1, g2])
+        assert pair.scale_pair((1,)) == (3, 9)
+        assert pair.scale_pair((1, -2)) == (3, 27)
+        assert pair.modular_ratio((1,)) == F(1, 3)
+        assert pair.modular_ratio((1, -2)) == F(1, 9)
+        single = DiagonalBackend([g1])
+        assert single.scale_pair((-1,)) == (9, 3)
+        assert single.modular_ratio((-1,)) == 3
+
+    def test_tidy_lattice_built_once_on_first_use(self, monkeypatch):
+        built = []
+        original = pd.common_tidy
+
+        def counted(gens):
+            built.append(len(gens))
+            return original(gens)
+
+        monkeypatch.setattr(pd, "common_tidy", counted)
+        g1 = pd.PAdicAutomorphism(((F(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+        g2 = pd.PAdicAutomorphism(((1, 0, 0), (0, F(1, 3), 0), (0, 0, 1)), 3)
+        backend = DiagonalBackend([g1, g2])
+        assert built == []
+        assert len(backend.eigenfactors()) == 2
+        assert backend.inert_summary() == "inert sublattice of rank 1"
+        assert backend.tidy == pd.Lattice.standard(3, 3)
+        assert built == [2]
+
+    def test_validation_stays_eager(self):
+        swap = pd.PAdicAutomorphism(((0, 1), (3, 0)), 3)
+        diag = pd.PAdicAutomorphism(((F(1, 3), 0), (0, 3)), 3)
+        with pytest.raises(UnsupportedInputError):
+            DiagonalBackend([swap, diag])
+        mixed = pd.PAdicAutomorphism(((0, 1), (-3, 10)), 3)
+        with pytest.raises(SlopeSeparabilityError):
+            DiagonalBackend([mixed])
+
+    def test_words_cached_by_exponent_vector(self, three_slot):
+        backend, _ = three_slot
+        a = backend.automorphism((1, -2, 1))
+        assert backend.automorphism((-2, 1, 1)) is a
+        g1, g2 = backend.generators
+        assert a == g1.compose(g1).compose(g2.inverse())
+        assert backend.automorphism(()) == g1.power(0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_separable, seeded_rng
+import sympy
+
+from conftest import random_separable, random_unimodular, seeded_rng
+from tidyscale import padic as pd
 from tidyscale.errors import (
     CommensurabilityError,
     InputError,
@@ -15,7 +18,14 @@ from tidyscale.errors import (
     SlopeSeparabilityError,
     UnsupportedInputError,
 )
-from tidyscale.exactmath import mat_mul, mat_inverse
+from tidyscale.exactmath import (
+    factor_over_q,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+    newton_polygon,
+    rat_kernel,
+)
 from tidyscale.padic import (
     FamilyEigenfactor,
     Lattice,
@@ -411,3 +421,112 @@ def test_canonical_form_is_stable(seed):
         bumped = Lattice.span(p, [[p * x for x in c] for c in cols], ambient=n)
         assert bumped.hermite.entries == lat.hermite.entries
         assert bumped.exponent == lat.exponent + 1
+
+
+# ---------------------------------------------------------------------------
+# spectral data: integer evaluation against a Fraction reference, caching
+
+
+def _fraction_slope_bases(alpha):
+    """[(slope, basis)] with every factor evaluated at alpha itself in
+    Fraction arithmetic, the polynomial taken from sympy."""
+    rows = [list(r) for r in alpha.matrix]
+    n = len(rows)
+    x = sympy.Symbol("x")
+    poly = sympy.Matrix(
+        [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+    ).charpoly(x)
+    coeffs = [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    by_slope = {}
+    for factor, mult in factor_over_q(coeffs):
+        (slope, _), = newton_polygon(list(factor), alpha.prime).root_valuations()
+        by_slope.setdefault(slope, []).append((factor, mult))
+    out = []
+    for slope in sorted(by_slope):
+        prod = mat_identity(n)
+        for factor, mult in by_slope[slope]:
+            fm = [[factor[-1] * (i == j) for j in range(n)] for i in range(n)]
+            for c in reversed(factor[:-1]):
+                fm = mat_mul(rows, fm)
+                for i in range(n):
+                    fm[i][i] += c
+            for _ in range(mult):
+                prod = mat_mul(prod, fm)
+        out.append((slope, tuple(tuple(v) for v in rat_kernel(prod))))
+    return out
+
+
+def _ac8_corpus():
+    """The AC-8 families (two diagonal ones and a conjugated one), each
+    with every word of exponents in {-1, 0, 1}."""
+
+    def diag(entries):
+        n = len(entries)
+        return aut([[F(entries[i]) if i == j else 0 for j in range(n)] for i in range(n)])
+
+    rng = seeded_rng(481)
+    first = [diag(["1/3", 1, 1]), diag([1, "1/3", 1])]
+    second = [diag(["1/3", 1, 1, "1/3"]), diag([1, "1/3", 1, "1/3"])]
+    c = random_unimodular(rng, 3)
+    c_inv = mat_inverse(c)
+    conjugated = [
+        aut(mat_mul(mat_mul(c, [list(r) for r in g.matrix]), c_inv)) for g in first
+    ]
+    out = []
+    for gens in (first, second, conjugated):
+        for exps in itertools.product((-1, 0, 1), repeat=2):
+            out.append(word(gens, exps))
+    return out
+
+
+class TestSpectralData:
+    def test_integer_bases_match_fraction_reference(self):
+        rng = seeded_rng(20260822)
+        corpus = _ac8_corpus() + [
+            random_separable(rng, n, p) for n in (2, 3, 4) for p in (2, 3, 5)
+        ]
+        for alpha in corpus:
+            got = [(pc.slope, pc.basis) for pc in slope_decomposition(alpha).pieces]
+            assert got == _fraction_slope_bases(alpha), alpha
+
+    def test_computed_once_per_automorphism(self, monkeypatch):
+        calls = {"charpoly": 0, "factor_over_q": 0}
+        for name in calls:
+            original = getattr(pd, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(pd, name, counted)
+        a = aut([[0, 1], [-1, F(10, 3)]])
+        for _ in range(3):
+            scale(a)
+            slope_decomposition(a)
+            a.charpoly()
+        assert calls == {"charpoly": 1, "factor_over_q": 1}
+        assert a.inverse() is a.inverse()
+        assert a.inverse().inverse() is a
+
+    def test_cached_charpoly_cannot_be_mutated(self):
+        a = aut([[F(1, 3), 0], [0, 3]])
+        a.charpoly().append(F(7))
+        assert a.charpoly() == [F(1), F(-10, 3), F(1)]
+
+    def test_filled_caches_keep_identity(self):
+        rows = [[0, 1], [-1, F(10, 3)]]
+        fresh, filled = aut(rows), aut(rows)
+        scale(filled)
+        slope_decomposition(filled)
+        filled.inverse().charpoly()
+        assert filled == fresh and fresh == filled
+        assert hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert {fresh: "x"}[filled] == "x"
+        assert filled.inverse().inverse() == filled == fresh.inverse().inverse()
+
+    def test_separability_error_repeats(self):
+        a = aut([[0, 1], [-3, 10]])
+        for _ in range(2):
+            with pytest.raises(SlopeSeparabilityError):
+                slope_decomposition(a)
