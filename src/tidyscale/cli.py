@@ -26,6 +26,7 @@ from . import invariants as inv
 from . import padic as pd
 from . import torus as tr
 from .errors import InputError, ResourceCapError, TidyscaleError
+from .exactmath import is_prime
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -67,9 +68,51 @@ def load_config(path):
     return parse_config(text, str(path))
 
 
+class _DuplicateKeyError(yaml.YAMLError):
+    def __init__(self, key, mark):
+        super().__init__(f"duplicate key {key!r}")
+        self.key = key
+        self.problem_mark = mark
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """Safe loader that refuses a mapping key given twice."""
+
+    def construct_document(self, node):
+        # check the composed tree before construction: building a mapping
+        # flattens the `<<` sources it merges in, in place
+        seen_nodes, stack = set(), [node]
+        while stack:
+            here = stack.pop()
+            if id(here) in seen_nodes:
+                continue
+            seen_nodes.add(id(here))
+            if isinstance(here, yaml.MappingNode):
+                keys = set()
+                for key_node, value_node in here.value:
+                    stack.append(value_node)
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue  # keys merged in by `<<` may be overridden
+                    if not isinstance(key_node, yaml.ScalarNode):
+                        continue  # the base constructor reports these
+                    key = self.construct_object(key_node)
+                    if key in keys:
+                        raise _DuplicateKeyError(key, key_node.start_mark)
+                    keys.add(key)
+            elif isinstance(here, yaml.SequenceNode):
+                stack.extend(here.value)
+        return super().construct_document(node)
+
+
 def parse_config(text, source):
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
+    except _DuplicateKeyError as exc:
+        mark = exc.problem_mark
+        raise InputError(
+            f"{source}:{mark.line + 1}:{mark.column + 1}:"
+            f" duplicate key {exc.key!r}"
+        ) from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{source}: " if mark is None else (
@@ -220,6 +263,8 @@ def _build_padic(cfg, options, source):
 
 def _build_torus(cfg, options, source):
     prime = _config_prime(cfg, options, source)
+    if not is_prime(prime):
+        raise InputError(f"{source}.prime: {prime!r} is not a prime")
     size = _need(cfg, "size", int, source)
     names, weights = [], []
     for name, entry, here in _generator_items(cfg, source):
@@ -484,15 +529,11 @@ def _tidy_torus(job):
     )
     results = {"pattern": pattern_data(base), "generators": {}}
     lines = [f"standard block of size {job.extras['size']}"]
-    n = job.extras["size"]
     for name, g in zip(job.names, job.gens):
-        got = tr.displacement_exponent(base, g)
-        want = sum(
-            max(g.w[j] - g.w[i], 0)
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        )
+        # measured through the conjugate, so it checks the closed form
+        img = tr.conjugate(base, g)
+        got = tr.index_exponent(img.intersect(base), img)
+        want = tr.displacement_exponent(base, g)
         ok = got == want
         results["generators"][name] = {
             "displacement_exponent": got,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 
 class _PlusInfinity:
@@ -68,9 +68,21 @@ class _PlusInfinity:
 INFINITY = _PlusInfinity()
 
 
+_SMALL_PRIME_BOUND = 1 << 10
+_SMALL_PRIMES = frozenset(
+    k for k in range(2, _SMALL_PRIME_BOUND)
+    if all(k % d for d in range(2, isqrt(k) + 1))
+)
+
+
 def is_prime(p) -> bool:
     if not isinstance(p, int):
         return False
+    if p < _SMALL_PRIME_BOUND:
+        # a set lookup is cheaper than sympy's test and keeps sympy, which
+        # takes a third of a second to import, out of jobs that need no
+        # factoring
+        return p in _SMALL_PRIMES
     from sympy import isprime
 
     return bool(isprime(p))

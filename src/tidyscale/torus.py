@@ -173,9 +173,22 @@ def pattern_index(inner, outer, p):
 
 
 def displacement_exponent(pattern, alpha):
-    """v_p of [alpha(U) : alpha(U) n U] for the pattern U."""
-    img = conjugate(pattern, alpha)
-    return index_exponent(img.intersect(pattern), img)
+    """v_p of [alpha(U) : alpha(U) n U] for the pattern U.
+
+    Conjugation moves the bound at (i,j) by d = w_i - w_j, and the
+    intersection with U takes the larger of b + d and b, so each entry of
+    the support contributes max(0, w_j - w_i) and forced zeros contribute
+    nothing.
+    """
+    if pattern.n != alpha.n:
+        raise InputError("pattern and automorphism dimensions differ")
+    w = alpha.w
+    return sum(
+        max(0, w[j] - w[i])
+        for i, row in enumerate(pattern.bounds)
+        for j, b in enumerate(row)
+        if b is not None and i != j
+    )
 
 
 def forward_pattern(pattern, alpha):

@@ -171,6 +171,59 @@ class TestConfigValidation:
         assert cli.main(["scale", "--config", str(path)]) == 2
         assert "duplicate generator name" in capsys.readouterr().err
 
+    def test_duplicate_key_names_source_line_and_key(self, tmp_path, capsys):
+        path = tmp_path / "k.cfg"
+        path.write_text(
+            "backend: torus\nprime: 2\nsize: 2\nsize: 3\ngenerators:\n"
+            "  - name: a\n    weights: [-1, 0, 1]\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["scale", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:4:" in err
+        assert "duplicate key 'size'" in err
+
+    def test_duplicate_nested_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "n.cfg"
+        path.write_text(
+            "backend: torus\nprime: 2\nsize: 3\ngenerators:\n"
+            "  - name: a\n    weights: [-1, 0, 1]\n    weights: [0, 0, 1]\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["scale", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:7:" in err
+        assert "duplicate key 'weights'" in err
+
+    def test_merge_key_may_be_overridden(self):
+        data = cli.parse_config(
+            "base: &b {x: 1, y: 2}\nother:\n  <<: *b\n  x: 5\n", "m.cfg"
+        )
+        assert data["other"] == {"x": 5, "y": 2}
+        # a shallower mapping flattens the anchored `inner` before it is
+        # built itself; its override of `k` is still not a duplicate
+        data = cli.parse_config(
+            "z: &z {k: 1}\na: {inner: &x {<<: *z, k: 2}}\nb: {<<: *x}\n",
+            "m.cfg",
+        )
+        assert data["a"]["inner"] == {"k": 2}
+        assert data["b"] == {"k": 2}
+
+    @pytest.mark.parametrize("flag", [[], ["--prime", "4"]])
+    def test_torus_prime_must_be_prime(self, tmp_path, capsys, flag):
+        path = tmp_path / "p.cfg"
+        prime = 2 if flag else 4
+        path.write_text(
+            f"backend: torus\nprime: {prime}\nsize: 3\ngenerators:\n"
+            "  - name: a\n    weights: [-1, 0, 1]\n",
+            encoding="utf-8",
+        )
+        for command in ("scale", "verify"):
+            assert cli.main([command, "--config", str(path)] + flag) == 2
+            captured = capsys.readouterr()
+            assert "4 is not a prime" in captured.err
+            assert captured.out == ""
+
 
 class TestResourceCap:
     def test_tiny_cap_exits_three(self, capsys):
@@ -295,6 +348,22 @@ class TestTidyCommand:
         assert cli.main(["tidy", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "displacement exponent 4, formula 4, tidy=True" in out
+
+    def test_torus_tidy_checks_the_closed_form(self, tmp_path, capsys,
+                                                monkeypatch):
+        right = cli.tr.displacement_exponent
+        monkeypatch.setattr(
+            cli.tr, "displacement_exponent", lambda u, a: right(u, a) + 1
+        )
+        path = tmp_path / "t.cfg"
+        path.write_text(
+            "backend: torus\nprime: 2\nsize: 3\ngenerators:\n"
+            "  - name: a\n    weights: [-1, 0, 1]\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["tidy", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "displacement exponent 4, formula 5, tidy=False" in out
 
 
 class TestEigenfactorsCommand:

@@ -15,6 +15,7 @@ from tidyscale.exactmath import (
     factor_over_q,
     hermite_form,
     hermite_form_with_transform,
+    is_prime,
     kernel_basis,
     newton_polygon,
     padic_valuation,
@@ -42,6 +43,14 @@ class TestValuation:
             padic_valuation(3, 6)
         with pytest.raises(InputError):
             padic_valuation(3, 1)
+
+    def test_is_prime_matches_sympy(self):
+        from sympy import isprime
+
+        for p in list(range(-3, 2000)) + [2**31 - 1, 2**61 - 1, 10**18 + 9]:
+            assert is_prime(p) == isprime(p), p
+        for not_int in (True, Fraction(3), 3.0):
+            assert not is_prime(not_int)
 
     @given(
         st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),

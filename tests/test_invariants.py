@@ -7,6 +7,8 @@ A deliberately corrupted record list doubles as a negative control for
 the suite itself.
 """
 
+import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -280,6 +282,11 @@ class TestPatternFamily:
         report = verify_suite(backend, rep.records)
         assert report.ok, report.failures()
 
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, -3])
+    def test_prime_checked(self, p):
+        with pytest.raises(InputError, match="is not a prime"):
+            PatternBackend(3, p)
+
     def test_center_word_fixes(self, pattern3):
         # the common kernel of every functional stabilizes the block
         backend, _ = pattern3
@@ -540,6 +547,20 @@ class TestSuiteIntegrity:
         assert "delta-power-law" in failed
         assert "pure-pair-law" in failed
 
+    def test_wrong_closed_form_fails_fixer_tidy(self, pattern3, monkeypatch):
+        # the certificate measures the displacement through the conjugate,
+        # so a wrong closed form cannot certify itself
+        from tidyscale import torus as tr
+
+        right = tr.displacement_exponent
+        monkeypatch.setattr(
+            tr, "displacement_exponent", lambda u, a: right(u, a) + 1
+        )
+        backend, rep = pattern3
+        report = verify_suite(backend, rep.records)
+        failed = {c.name for c in report.failures()}
+        assert "product-with-fixer-tidy" in failed
+
     def test_tampered_functional_fails(self, pattern3):
         backend, rep = pattern3
         bad = [replace(rep.records[0], rho=(1, 1, -2))] + list(rep.records[1:])
@@ -571,6 +592,126 @@ class TestSuiteIntegrity:
             "pure-pair-law",
             "rho-additive",
         ]
+
+
+class _CountingPairs:
+    """Forwards to a backend and counts relative_pair by (handle, word)."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.asked = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def relative_pair(self, handle, word):
+        self.asked[id(handle), word] += 1
+        return self._backend.relative_pair(handle, word)
+
+
+def _words(g, max_length):
+    letters = list(range(1, g + 1)) + [-i for i in range(1, g + 1)]
+    return [
+        w
+        for length in range(1, max_length + 1)
+        for w in itertools.product(letters, repeat=length)
+    ]
+
+
+class TestSuiteComputesPairsOnce:
+    @pytest.mark.parametrize("family", ["pattern3", "three_slot"])
+    def test_each_pair_asked_once(self, family, request):
+        backend, rep = request.getfixturevalue(family)
+        counting = _CountingPairs(backend)
+        report = verify_suite(counting, rep.records, identity_length=2)
+        assert report.ok, report.failures()
+        assert max(counting.asked.values()) == 1
+        # every check still sees every (record, word) it evaluates
+        wanted = {
+            (id(rec.handle), w)
+            for rec in rep.records
+            for w in _words(backend.generator_count, 2)
+        }
+        assert wanted <= set(counting.asked)
+
+    def test_tampered_records_still_fail_with_cache(self, pattern3):
+        backend, rep = pattern3
+        counting = _CountingPairs(backend)
+        bad = [replace(rep.records[0], t=4)] + list(rep.records[1:])
+        report = verify_suite(counting, bad)
+        failed = {c.name for c in report.failures()}
+        assert {"delta-power-law", "pure-pair-law"} <= failed
+        assert max(counting.asked.values()) == 1
+
+
+def _adjoint_family(n, p, weights):
+    """diag(p^w) acting by conjugation on the off-diagonal coordinates of
+    n x n matrices: coordinate (i, j) is multiplied by p^(w_i - w_j)."""
+    roots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    size = len(roots)
+    gens = []
+    for w in weights:
+        diag = [F(p) ** (w[i] - w[j]) for i, j in roots]
+        gens.append(
+            pd.PAdicAutomorphism(
+                tuple(
+                    tuple(diag[a] if a == b else 0 for b in range(size))
+                    for a in range(size)
+                ),
+                p,
+            )
+        )
+    return DiagonalBackend(gens)
+
+
+def _t_by_rho(records):
+    out = {}
+    for rec in records:
+        out[rec.rho] = out.get(rec.rho, 1) * rec.t
+    return out
+
+
+class TestCrossBackendOracle:
+    """The torus backend against the diagonal backend on the adjoint
+    representation.  The diagonal backend merges coordinates on a common
+    ray into one eigenfactor, while the torus backend keeps one record per
+    root, so the tables agree as a multiset when the roots lie on distinct
+    rays and, in general, as the product of t over each rho."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sampled_from([2, 3, 5]),
+                st.lists(
+                    st.lists(
+                        st.integers(min_value=-2, max_value=2),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    min_size=1,
+                    max_size=2,
+                ),
+            )
+        )
+    )
+    def test_root_records_match_adjoint_family(self, drawn):
+        n, p, weights = drawn
+        torus = relative_scale_table(PatternBackend(n, p, weights))
+        adjoint = relative_scale_table(_adjoint_family(n, p, weights))
+        assert _t_by_rho(torus) == _t_by_rho(adjoint)
+        if len({rec.rho for rec in torus}) == len(torus):
+            assert sorted((r.t, r.rho) for r in torus) == sorted(
+                (r.t, r.rho) for r in adjoint
+            )
+
+    def test_shared_ray_merges_in_the_adjoint_family(self):
+        # roots (1,2) and (2,3) of diag(1, p, p^2) share the ray rho = 1
+        torus = relative_scale_table(PatternBackend(3, 2, [(0, 1, 2)]))
+        adjoint = relative_scale_table(_adjoint_family(3, 2, [(0, 1, 2)]))
+        assert sorted(r.t for r in torus if r.rho == (1,)) == [2, 2, 4]
+        assert [r.t for r in adjoint if r.rho == (1,)] == [16]
 
 
 # ---------------------------------------------------------------------------

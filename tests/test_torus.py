@@ -4,6 +4,8 @@ congruence-quotient factorization checks."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tidyscale.errors import (
     CommensurabilityError,
@@ -128,6 +130,10 @@ class TestIndices:
                 iwahori(3), alpha.inverse()
             )
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            displacement_exponent(iwahori(2), A1)
+
     def test_non_containment_rejected(self):
         u = iwahori(3)
         c = conjugate(u, A1)
@@ -146,6 +152,41 @@ class TestIndices:
         assert index_exponent(inner, u) == index_exponent(
             inner, mid
         ) + index_exponent(mid, u)
+
+
+def _closed_patterns(n, shift):
+    """Closed patterns of dimension n: the base, the Iwahori subgroup, the
+    diagonal part, the conjugates and forward patterns of the first two under
+    diag(p^shift), and their root patterns."""
+    base = PatternSubgroup(n, tuple((0,) * n for _ in range(n)))
+    alpha = DiagonalAutomorphism(shift)
+    out = [base, iwahori(n), diagonal_part(n)]
+    for u in (base, iwahori(n)):
+        out.append(conjugate(u, alpha))
+        out.append(forward_pattern(u, alpha))
+        out.append(forward_pattern(u, alpha).intersect(u))
+        out.extend(r.pattern for r in root_eigenfactors(n, u)[0])
+    return out
+
+
+@st.composite
+def _pattern_and_weights(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    weights = st.tuples(*[st.integers(min_value=-4, max_value=4)] * n)
+    shift, w = draw(weights), draw(weights)
+    return draw(st.sampled_from(_closed_patterns(n, shift))), w
+
+
+class TestClosedFormDisplacement:
+    @settings(max_examples=300, deadline=None)
+    @given(_pattern_and_weights())
+    def test_matches_conjugate_intersect_index(self, drawn):
+        u, w = drawn
+        alpha = DiagonalAutomorphism(w)
+        img = conjugate(u, alpha)
+        assert displacement_exponent(u, alpha) == index_exponent(
+            img.intersect(u), img
+        )
 
 
 class TestForwardPatterns:
