@@ -8,10 +8,12 @@ deterministic for a fixed config and flag set and round-trips through
 the standard JSON parser.
 
 Exit status: 0 success, 1 a verification or golden comparison failed,
-2 bad input (config, flags, unknown names), 3 a resource cap was hit.
+2 bad input (config, flags, unknown names), 3 a resource cap was hit,
+4 an internal error.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,15 +29,16 @@ from . import padic as pd
 from . import torus as tr
 from .errors import InputError, ResourceCapError, TidyscaleError
 from .exactmath import is_prime
+from .finprod import DEFAULT_CAP
+from .invariants import DEFAULT_WORD_LENGTH
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_DEPTH = 8
-DEFAULT_CAP = 10**6
-DEFAULT_WORD_LENGTH = 6
 
 GENERIC_COMMANDS = ("scale", "tidy", "eigenfactors", "invariants", "verify")
 EXAMPLE_NAMES = ("3.5", "5.7", "6.10", "6.11", "6.17")
@@ -1092,6 +1095,7 @@ def cmd_example(name, options, golden_path=None):
 # entry point
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tidyscale",
@@ -1225,6 +1229,9 @@ def main(argv=None):
     except TidyscaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

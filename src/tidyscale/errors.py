@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all backends.
 
 The command line maps these onto exit codes: input problems exit 2, resource
-cap overruns exit 3, failed verifications exit 1.
+cap overruns exit 3, failed verifications exit 1; any other exception is an
+internal error and exits 4.
 """
 
 

@@ -245,14 +245,17 @@ class WindowedSubgroup:
         fib = amb.fiber
         if len(elements) ** 2 * max(width, 1) > 5 * 10**7:
             raise ResourceCapError(len(elements) ** 2, 5 * 10**7)
-        if _window_identity(amb, self.lo, self.hi) not in elements:
+        identity = _window_identity(amb, self.lo, self.hi)
+        if identity not in elements:
             raise InputError("element set must contain the identity")
-        for x in elements:
-            if tuple(fib.inv(v) for v in x) not in elements:
-                raise InputError("element set not closed under inverse")
-            for y in elements:
-                if tuple(fib.mul(u, v) for u, v in zip(x, y)) not in elements:
-                    raise InputError("element set not closed under product")
+        if not _is_closed(fib, elements, identity):
+            # the check over all pairs names what fails, inverse or product
+            for x in elements:
+                if tuple(fib.inv(v) for v in x) not in elements:
+                    raise InputError("element set not closed under inverse")
+                for y in elements:
+                    if tuple(fib.mul(u, v) for u, v in zip(x, y)) not in elements:
+                        raise InputError("element set not closed under product")
         lo, hi, elements = _strip(amb, self.lo, self.hi, elements, left, right)
         if lo == hi and left == right:
             lo = hi = 0
@@ -299,6 +302,49 @@ class WindowedSubgroup:
             if self.lo <= n < self.hi:
                 window[(n - self.lo) * amb.q + a] = v
         return tuple(window) in self.elements
+
+
+def _is_closed(fib, elements, identity):
+    """Whether a finite element set holding the identity is a group,
+    checked through a generating set (Dimino's algorithm).
+
+    Walk the set; each element not yet reached becomes a generator, and
+    the reached set is closed under right multiplication by every generator
+    so far.  The check fails as soon as a product leaves the set.  If none
+    does, the reached set is the subgroup the generators span and holds
+    every element, so the set is that subgroup.  Each generator at least
+    doubles the reached subgroup, so at most log2|E| + 1 generators take
+    O(|E| log |E|) products instead of the |E|^2 of all pairs.
+    """
+    # right multiplication by v, as a map on fiber indices
+    right_by = [tuple(row[v] for row in fib.table) for v in range(fib.order)]
+    reached = {identity}
+    steps = []
+    for g in elements:
+        if g in reached:
+            continue
+        step = tuple(right_by[v] for v in g)
+        steps.append(step)
+        frontier = []
+        for x in list(reached):
+            y = tuple(map(tuple.__getitem__, step, x))
+            if y not in elements:
+                return False
+            reached.add(y)
+            frontier.append(y)
+        while frontier:
+            grown = []
+            for x in frontier:
+                for s in steps:
+                    y = tuple(map(tuple.__getitem__, s, x))
+                    if y in reached:
+                        continue
+                    if y not in elements:
+                        return False
+                    reached.add(y)
+                    grown.append(y)
+            frontier = grown
+    return True
 
 
 def _strip(amb, lo, hi, elements, left, right):
@@ -367,24 +413,31 @@ def product_subgroup(amb, lo, hi, column_subgroups, left=None, right=None):
     return WindowedSubgroup(amb, lo, hi, elements, left, right)
 
 
-def _padded(w, lo, hi, cap):
-    """Element set of w written over the larger window [lo, hi)."""
-    amb = w.ambient
-    if lo > w.lo or hi < w.hi:
-        raise InputError("padding must enlarge the window")
-    left_cols = (w.lo - lo) * amb.q
-    right_cols = (hi - w.hi) * amb.q
-    total = (
-        len(w.elements)
-        * len(w.left) ** left_cols
-        * len(w.right) ** right_cols
-    )
+def _pad(elements, left_pools, right_pools, cap):
+    """Every window element extended by one value from each pool on its
+    left and its right."""
+    total = len(elements)
+    for pool in left_pools + right_pools:
+        total *= len(pool)
     if total > cap:
         raise ResourceCapError(total, cap)
-    lefts = list(itertools.product(tuple(w.left), repeat=left_cols))
-    rights = list(itertools.product(tuple(w.right), repeat=right_cols))
+    lefts = list(itertools.product(*left_pools))
+    rights = list(itertools.product(*right_pools))
     return frozenset(
-        lft + e + rgt for e in w.elements for lft in lefts for rgt in rights
+        lft + e + rgt for e in elements for lft in lefts for rgt in rights
+    )
+
+
+def _padded(w, lo, hi, cap):
+    """Element set of w written over the larger window [lo, hi)."""
+    if lo > w.lo or hi < w.hi:
+        raise InputError("padding must enlarge the window")
+    q = w.ambient.q
+    return _pad(
+        w.elements,
+        [tuple(w.left)] * ((w.lo - lo) * q),
+        [tuple(w.right)] * ((hi - w.hi) * q),
+        cap,
     )
 
 
@@ -420,16 +473,7 @@ def _padded_against(v, other, lo, hi, cap):
         for n in range(v.hi, hi)
         for a in range(q)
     ]
-    total = len(kept)
-    for pool in left_pools + right_pools:
-        total *= len(pool)
-    if total > cap:
-        raise ResourceCapError(total, cap)
-    lefts = list(itertools.product(*left_pools))
-    rights = list(itertools.product(*right_pools))
-    return frozenset(
-        lft + e + rgt for e in kept for lft in lefts for rgt in rights
-    )
+    return _pad(kept, left_pools, right_pools, cap)
 
 
 def _window_count(v, lo, hi):
@@ -442,27 +486,28 @@ def _window_count(v, lo, hi):
     )
 
 
-def meet(v, w, cap=DEFAULT_CAP):
+def _intersection(v, w, cap):
+    """The subgroup v n w, with the window [lo, hi) and the element set
+    over it that it was built from, before stripping."""
     _check_same_ambient(v, w)
     lo = min(v.lo, w.lo)
     hi = max(v.hi, w.hi)
     inter = _padded_against(v, w, lo, hi, cap) & _padded_against(w, v, lo, hi, cap)
-    return WindowedSubgroup(
+    sub = WindowedSubgroup(
         v.ambient, lo, hi, inter, v.left & w.left, v.right & w.right
     )
+    return sub, lo, hi, inter
+
+
+def meet(v, w, cap=DEFAULT_CAP):
+    return _intersection(v, w, cap)[0]
 
 
 def meet_index(v, w, cap=DEFAULT_CAP):
     """Intersection together with the index [v : v n w], which is finite
     exactly when the intersection keeps v's tail constraints."""
-    _check_same_ambient(v, w)
-    lo = min(v.lo, w.lo)
-    hi = max(v.hi, w.hi)
-    inter = _padded_against(v, w, lo, hi, cap) & _padded_against(w, v, lo, hi, cap)
-    left = v.left & w.left
-    right = v.right & w.right
-    sub = WindowedSubgroup(v.ambient, lo, hi, inter, left, right)
-    if left != v.left or right != v.right:
+    sub, lo, hi, inter = _intersection(v, w, cap)
+    if sub.left != v.left or sub.right != v.right:
         raise InfiniteIndexError(v, sub)
     index, rem = divmod(_window_count(v, lo, hi), len(inter))
     if rem:
@@ -774,25 +819,22 @@ class CheckReport:
         return self.ok
 
 
-def _pad_set(amb, elements, lo, hi, new_lo, new_hi, left, right):
-    q = amb.q
-    lefts = list(itertools.product(tuple(left), repeat=(lo - new_lo) * q))
-    rights = list(itertools.product(tuple(right), repeat=(new_hi - hi) * q))
-    return frozenset(
-        lft + e + rgt for e in elements for lft in lefts for rgt in rights
-    )
-
-
 def check_t1(alpha, v, depth, cap=DEFAULT_CAP):
     """V = V+ V- as element sets over an aligned window."""
     plus, s1 = forward_part(alpha, v, depth, cap)
     minus, s2 = forward_part(alpha.inverse(), v, depth, cap)
     lo, hi, prod, left, right = product_set(plus, minus, cap)
-    amb = v.ambient
     new_lo = min(lo, v.lo)
     new_hi = max(hi, v.hi)
-    prod_padded = _pad_set(amb, prod, lo, hi, new_lo, new_hi, left, right)
     pv = _padded(v, new_lo, new_hi, cap)
+    q = v.ambient.q
+    # plus and minus lie in v, so the padded product is no larger than pv
+    prod_padded = _pad(
+        prod,
+        [tuple(left)] * ((lo - new_lo) * q),
+        [tuple(right)] * ((new_hi - hi) * q),
+        cap,
+    )
     ok = prod_padded == pv and left == v.left and right == v.right
     witness = ()
     if not ok:

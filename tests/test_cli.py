@@ -397,3 +397,47 @@ class TestEigenfactorsCommand:
         out = capsys.readouterr().out
         assert f"ray(-1,): t = {3**700}, rho = (1,), delta = {3**700}^(x1)\n" in out
         assert "inert sublattice of rank 1" in out
+
+
+class TestEntryPoint:
+    def _run(self, argv, out, capsys):
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        report = None
+        if out.exists():
+            report = out.read_text(encoding="utf-8")
+            out.unlink()
+        stdout = [
+            line for line in captured.out.splitlines()
+            if not line.startswith("elapsed:")
+        ]
+        return code, report, stdout, captured.err
+
+    def test_parser_is_built_once(self, diag_config, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argvs = [
+            ["scale", "--config", diag_config],
+            ["eigenfactors", "--config", diag_config],
+            ["scale", "--config", diag_config, "--no-such-flag"],
+        ]
+        out = tmp_path / "report.json"
+        cached = [self._run(argv, out, capsys) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(self._run(argv, out, capsys))
+        assert cached == fresh
+        assert [run[0] for run in cached] == [0, 0, 2]
+        assert "unrecognized arguments: --no-such-flag" in cached[2][3]
+
+    def test_internal_error_exits_four(self, diag_config, capsys, monkeypatch):
+        def broken(self, word):
+            raise RuntimeError("extreme point routes disagree (internal)")
+
+        monkeypatch.setattr(cli.inv.DiagonalBackend, "scale_pair", broken)
+        assert cli.main(["scale", "--config", diag_config]) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == (
+            "internal error: RuntimeError: extreme point routes disagree"
+            " (internal)\n"
+        )

@@ -4,11 +4,14 @@ tidiness checks, and the tidying procedure on three worked families."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tidyscale.errors import (
     CommensurabilityError,
     InfiniteIndexError,
     InputError,
+    ResourceCapError,
 )
 from tidyscale.finprod import (
     AmbientGroup,
@@ -36,7 +39,7 @@ from tidyscale.finprod import (
     s3_group,
     tidying_procedure,
 )
-from tidyscale.finprod import _tails_only
+from tidyscale.finprod import _is_closed, _tails_only
 
 
 # ---------------------------------------------------------------------------
@@ -647,3 +650,161 @@ class TestLSubgroup:
         lpart, exact = l_subgroup(shift, g1, 6)
         assert exact
         assert lpart == _tails_only(amb, b, b)
+
+
+# ---------------------------------------------------------------------------
+# the window closure check
+
+
+def _closed_pairwise(fib, elements):
+    """Reference: the check over all pairs of elements that the window
+    constructor used before it checked through a generating set."""
+    for x in elements:
+        if tuple(fib.inv(v) for v in x) not in elements:
+            return False
+        for y in elements:
+            if tuple(fib.mul(u, v) for u, v in zip(x, y)) not in elements:
+                return False
+    return True
+
+
+def _span(fib, gens, identity):
+    out = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(fib.mul(u, v) for u, v in zip(x, g))
+                if y not in out:
+                    out.add(y)
+                    grown.append(y)
+        frontier = grown
+    return out
+
+
+_FIBERS = {
+    "c2": cyclic_group(2),
+    "c3": cyclic_group(3),
+    "s3": s3_group(),
+    "order8": order8_group(),
+}
+
+
+@st.composite
+def _window_sets(draw):
+    """An element set holding the identity inside a window product of
+    width 1-3: a random subset, a closure of random generators, or such a
+    closure with one element removed or one added, or the product set of
+    two cyclic subgroups."""
+    fib = _FIBERS[draw(st.sampled_from(sorted(_FIBERS)))]
+    width = draw(st.integers(1, 3))
+    identity = (fib.identity,) * width
+    point = st.tuples(*[st.integers(0, fib.order - 1)] * width)
+    kind = draw(
+        st.sampled_from(["subset", "closure", "removed", "added", "product"])
+    )
+    if kind == "subset":
+        elements = {identity} | draw(st.sets(point, max_size=40))
+    elif kind == "product":
+        first = _span(fib, [draw(point)], identity)
+        second = _span(fib, [draw(point)], identity)
+        elements = {
+            tuple(fib.mul(u, v) for u, v in zip(x, y))
+            for x in first
+            for y in second
+        }
+    else:
+        gens = draw(st.lists(point, min_size=1, max_size=3))
+        elements = _span(fib, gens, identity)
+        if kind == "removed" and len(elements) > 1:
+            elements.discard(
+                draw(st.sampled_from(sorted(elements - {identity})))
+            )
+        elif kind == "added":
+            elements.add(draw(point))
+    return fib, frozenset(elements), identity
+
+
+class TestClosureCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(_window_sets())
+    def test_matches_pairwise_check(self, case):
+        fib, elements, identity = case
+        assert _is_closed(fib, elements, identity) == _closed_pairwise(
+            fib, elements
+        )
+
+    @pytest.mark.parametrize("name", sorted(_FIBERS))
+    def test_every_width_one_subset(self, name):
+        # products of two cyclic subgroups such as {e, s1, s2, s1 s2} in S3
+        # pass a closure under the newest generator alone
+        fib = _FIBERS[name]
+        others = [(v,) for v in range(fib.order) if v != fib.identity]
+        for k in range(len(others) + 1):
+            for subset in itertools.combinations(others, k):
+                elements = frozenset(((fib.identity,),) + subset)
+                assert _is_closed(fib, elements, (fib.identity,)) == (
+                    _closed_pairwise(fib, elements)
+                )
+
+    @pytest.mark.parametrize(
+        "lo, hi, names, left, right, message",
+        [
+            (1, 0, [("e",)], "b", "b", "window bounds out of order"),
+            (0, 1, [("e", "e")], "b", "b",
+             "element length does not match the window"),
+            (0, 1, [], "b", "b", "element set must contain the identity"),
+            (0, 1, [("s1",)], "b", "b",
+             "element set must contain the identity"),
+            (0, 1, [("e",)], "t", "b", "tail constraints must be subgroups"),
+            (0, 1, [("e",)], "all", "b",
+             "tail constraints must refine the ambient tails"),
+            (0, 1, [("e",), ("t",)], "b", "b",
+             "element set not closed under inverse"),
+            (0, 1, [("e",), ("s1",), ("s2",)], "b", "b",
+             "element set not closed under product"),
+        ],
+    )
+    def test_rejections_keep_message(self, s3_restricted, lo, hi, names,
+                                     left, right, message):
+        amb, b, shift, twist0 = s3_restricted
+        fib = amb.fiber
+        tails = {
+            "b": b,
+            "t": frozenset({fib.identity, fib.index_of("t")}),
+            "all": frozenset(range(fib.order)),
+        }
+        elements = frozenset(
+            tuple(fib.index_of(v) for v in x) for x in names
+        )
+        with pytest.raises(InputError) as info:
+            WindowedSubgroup(amb, lo, hi, elements, tails[left], tails[right])
+        assert str(info.value) == message
+
+    def test_ceiling_rejection_keeps_message(self):
+        fib = cyclic_group(2)
+        amb = AmbientGroup(fib, 1, frozenset({0}), frozenset({0, 1}))
+        elements = frozenset(itertools.product((0, 1), repeat=13))
+        with pytest.raises(ResourceCapError) as info:
+            WindowedSubgroup(amb, 0, 13, elements, {0}, {0})
+        assert str(info.value) == (
+            "enumeration needs 67108864 elements, cap is 50000000"
+        )
+
+    def test_four_column_s3_window(self, s3_restricted):
+        amb, b, shift, twist0 = s3_restricted
+        full = tuple(range(6))
+        cols = {(n, 0): full for n in range(4)}
+        w = product_subgroup(amb, 0, 4, cols)
+        assert (w.lo, w.hi) == (0, 4)
+        assert len(w.elements) == 1296
+        assert all(w.column(n) == (frozenset(full),) for n in range(4))
+        # with a full right tail every column strips away
+        fib = amb.fiber
+        e = frozenset({fib.identity})
+        open_right = AmbientGroup(fib, 1, e, frozenset(full))
+        stripped = product_subgroup(open_right, 0, 4, cols)
+        assert stripped == WindowedSubgroup(
+            open_right, 0, 0, frozenset({()}), e, frozenset(full)
+        )
