@@ -78,7 +78,13 @@ class _DuplicateKeyError(yaml.YAMLError):
         self.problem_mark = mark
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
+# libyaml parses several times faster than the pure-Python loader.  The
+# error marks agree, except that a flow collection left open at the end of
+# a file without a final newline is reported on the line after it.
+_SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+class _UniqueKeyLoader(_SafeLoader):
     """Safe loader that refuses a mapping key given twice."""
 
     def construct_document(self, node):

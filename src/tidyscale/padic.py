@@ -387,23 +387,6 @@ def lattice_index(first, second):
     )
 
 
-def lattice_arith(op, *args):
-    """Dispatcher for the four module operations used by the front end."""
-    if op == "image":
-        lattice, matrix = args
-        return lattice.image(matrix)
-    if op == "intersect":
-        a, b = args
-        return a.intersect(b)
-    if op == "sum":
-        a, b = args
-        return a + b
-    if op == "index":
-        a, b = args
-        return lattice_index(a, b)
-    raise InputError(f"unknown lattice operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms
 
@@ -629,10 +612,92 @@ def _slope_decomposition(alpha):
 
 
 def expansion_exponent(alpha, lattice):
-    """v_p of [alpha(V) : alpha(V) n V]."""
-    img = lattice.image(alpha.matrix)
-    meet = img.intersect(lattice)
-    return meet.index_exponent_in(img)
+    """v_p of [alpha(V) : alpha(V) n V], computed in integers.
+
+    The index equals [V + alpha(V) : V], and neither side changes when V is
+    rescaled, so V is taken as the span of its Hermite basis H (n x r, pivot
+    rows piv).  With d alpha = A integral, the vectors of V + alpha(V) scaled
+    by d are read off by their coordinates on the pivot rows, where H_piv is
+    triangular and invertible.  So the exponent is
+    v_p det(d H_piv) - v_p Delta_r(d H_piv | (A H)_piv), Delta_r the gcd of
+    the r x r minors.  The second matrix holds the columns of the first, so
+    its Delta_r divides theirs and v_p det(d H_piv) + 1 digits of p-adic
+    precision determine it exactly.
+    """
+    n = lattice.ambient
+    if alpha.dimension != n:
+        raise InputError("matrix shape does not match the ambient space")
+    r = lattice.rank
+    if r == 0:
+        return 0
+    p = lattice.prime
+    d, a = alpha._cached("integer_scaled", lambda: _integer_scaled(alpha.matrix))
+    h = lattice.hermite.entries
+    piv = [max(i for i in range(n) if h[i][j]) for j in range(r)]
+    ah = [[sum(a[i][k] * h[k][j] for k in range(n)) for j in range(r)] for i in range(n)]
+    residues = [_reduce_by_hermite(h, piv, [row[j] for row in ah]) for j in range(r)]
+    moved = [res for res in residues if any(res)]
+    if moved:
+        # span(H, A H) is span(H) plus span(moved), a direct sum because the
+        # residues vanish on the pivot rows, so dim(V n alpha V) is r minus
+        # the rank of the residues.
+        herm = hermite_form(IntegerMatrix(tuple(zip(*moved))))
+        rank = sum(1 for col in zip(*herm.entries) if any(col))
+        raise CommensurabilityError(f"ranks differ: {r - rank} vs {r}")
+    bound = r * padic_valuation(d, p) + sum(
+        padic_valuation(h[piv[j]][j], p) for j in range(r)
+    )
+    gens = [[d * x for x in h[i]] + ah[i] for i in piv]
+    return bound - _minors_gcd_valuation(gens, p, bound + 1)
+
+
+def _reduce_by_hermite(h, piv, y):
+    """y minus a rational combination of H's columns that clears every pivot
+    row, scaled to stay integral; zero exactly when y lies in span(H)."""
+    for j in reversed(range(len(piv))):
+        t = y[piv[j]]
+        if t:
+            hp = h[piv[j]][j]
+            g = gcd(hp, t)
+            y = [(hp // g) * x - (t // g) * row[j] for x, row in zip(y, h)]
+    return y
+
+
+def _minors_gcd_valuation(rows, p, precision):
+    """v_p of the gcd of the maximal minors of an integer matrix of full row
+    rank, for a value known to lie below `precision`.
+
+    Eliminates over Z_(p) modulo p^precision, each time on an entry of least
+    valuation left, so every other entry of its row is a multiple of it and
+    needs no column operation; the pivot valuations are the exponents of
+    the p-parts of the elementary divisors, each below the precision.
+    """
+    mod = p**precision
+    work = [[x % mod for x in row] for row in rows]
+    total = 0
+    while work:
+        best = None
+        for i, row in enumerate(work):
+            for j, x in enumerate(row):
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            raise RuntimeError("p-local elimination lost rank (internal)")
+        v, i, j = best
+        pivot = work.pop(i)
+        scale_v = p**v
+        unit_inv = pow(pivot[j] // scale_v, -1, mod)
+        for row in work:
+            if row[j]:
+                f = (row[j] // scale_v) * unit_inv % mod
+                row[:] = [(x - f * y) % mod for x, y in zip(row, pivot)]
+        total += v
+    return total
 
 
 def expansion_index(alpha, lattice):
@@ -813,6 +878,17 @@ def _common_pieces(gens):
     return pieces
 
 
+def _primitive_direction(nu):
+    den = 1
+    for x in nu:
+        den = lcm(den, Fraction(x).denominator)
+    w = [int(Fraction(x) * den) for x in nu]
+    content = 0
+    for x in w:
+        content = gcd(content, abs(x))
+    return tuple(x // content for x in w)
+
+
 def _halfspace_monoid_exponents(nu):
     """Exponent vectors generating the monoid of words that do not expand a
     piece with slope vector nu: the two boundary directions of the kernel of
@@ -828,15 +904,7 @@ def _halfspace_monoid_exponents(nu):
             e2[i] = -1
             out.append(tuple(e2))
         return out
-    den = 1
-    for x in nu:
-        den = lcm(den, Fraction(x).denominator)
-    w = [int(Fraction(x) * den) for x in nu]
-    content = 0
-    for x in w:
-        content = gcd(content, abs(x))
-    w = [x // content for x in w]
-    mat = IntegerMatrix((tuple(w),))
+    mat = IntegerMatrix((_primitive_direction(nu),))
     out = []
     kern = kernel_basis(mat)
     if kern is not None:
@@ -896,17 +964,6 @@ class FamilyEigenfactor:
     direction: tuple  # primitive integer slope direction over the generators
     lattice: Lattice
     delta_weight: tuple  # Fractions w with measure ratio p^(w . exponents)
-
-
-def _primitive_direction(nu):
-    den = 1
-    for x in nu:
-        den = lcm(den, Fraction(x).denominator)
-    w = [int(Fraction(x) * den) for x in nu]
-    content = 0
-    for x in w:
-        content = gcd(content, abs(x))
-    return tuple(x // content for x in w)
 
 
 def family_eigenfactors(generators, tidy=None):

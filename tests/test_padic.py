@@ -16,13 +16,16 @@ from tidyscale.errors import (
     InputError,
     SingularityError,
     SlopeSeparabilityError,
+    TidyscaleError,
     UnsupportedInputError,
 )
 from tidyscale.exactmath import (
+    _integer_scaled,
     factor_over_q,
     mat_identity,
     mat_inverse,
     mat_mul,
+    mat_vec,
     newton_polygon,
     rat_kernel,
 )
@@ -35,7 +38,6 @@ from tidyscale.padic import (
     expansion_index,
     family_eigenfactors,
     is_invariant,
-    lattice_arith,
     lattice_index,
     parts,
     relative_scale,
@@ -127,7 +129,6 @@ class TestLattice:
     def test_sum_idempotent(self):
         lat = Lattice.span(3, [(F(1, 3), 2), (0, 5)])
         assert lat + lat == lat
-        assert lattice_arith("sum", lat, lat) == lat
 
     def test_unit_content_is_invisible(self):
         # prime-to-p content of generators is a unit p-locally
@@ -530,3 +531,147 @@ class TestSpectralData:
         for _ in range(2):
             with pytest.raises(SlopeSeparabilityError):
                 slope_decomposition(a)
+
+
+# ---------------------------------------------------------------------------
+# displacement indices: the integer kernel against the lattice route
+
+
+def _reference_expansion_exponent(alpha, lattice):
+    """v_p [alpha(V) : alpha(V) n V] through the lattice operations: image,
+    intersection, then the index of the meet in the image."""
+    img = lattice.image(alpha.matrix)
+    meet = img.intersect(lattice)
+    return meet.index_exponent_in(img)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except TidyscaleError as exc:
+        return type(exc), str(exc)
+
+
+def _agreed_outcome(alpha, lattice):
+    got = _outcome(pd.expansion_exponent, alpha, lattice)
+    assert got == _outcome(_reference_expansion_exponent, alpha, lattice), (
+        alpha,
+        lattice,
+    )
+    return got
+
+
+def _krylov_columns(alpha, v):
+    """v, A v, A^2 v, ... for A = d alpha, up to the first dependent vector:
+    a basis of the least alpha-invariant subspace holding v.  Each vector is
+    taken primitive, which keeps the entries small."""
+    _, a = _integer_scaled(alpha.matrix)
+    cols = []
+    while not rat_kernel(list(zip(*cols, v))):
+        cols.append(v)
+        v = pd._primitive_direction(mat_vec(a, v))
+    return cols
+
+
+def _small_separable(rng, n, p):
+    """Diagonal entries u p^k, u in {1, p - 1} and k in {-1, 0, 1}, and
+    companion blocks of x^2 - p, conjugated by two shears.  The lattice
+    route's Smith forms stay small on these; on some automorphisms from
+    random_separable they grow for minutes."""
+    mat = [[F(0)] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and rng.random() < 0.3:
+            mat[i][i + 1], mat[i + 1][i] = F(1), F(p)
+            i += 2
+        else:
+            mat[i][i] = F(rng.choice([1, 1, p - 1])) * F(p) ** rng.randint(-1, 1)
+            i += 1
+    t = random_unimodular(rng, n, shears=2)
+    return PAdicAutomorphism(
+        tuple(tuple(r) for r in mat_mul(mat_mul(t, mat), mat_inverse(t))), p
+    )
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_expansion_exponent_matches_lattice_route(seed):
+    rng = seeded_rng(seed)
+    p = rng.choice([2, 3, 5])
+    n = rng.randint(1, 5)
+    alpha = _small_separable(rng, n, p)
+
+    # full rank: scaled unit vectors plus small extra generators
+    cols = [
+        [F(p) ** rng.randint(-1, 1) * (i == j) for i in range(n)] for j in range(n)
+    ]
+    cols += [
+        [F(rng.randint(-3, 3), rng.choice([1, 1, p])) for _ in range(n)]
+        for _ in range(rng.randint(0, 2))
+    ]
+    assert isinstance(_agreed_outcome(alpha, Lattice.span(p, cols)), int)
+
+    # partial rank on invariant subspaces: a random lattice in the sum of
+    # some slope pieces, and the Krylov span of a vector in one piece
+    pieces = slope_decomposition(alpha).pieces
+    chosen = [pc for pc in pieces if rng.random() < 0.5] or [pieces[0]]
+    basis = [col for pc in chosen for col in pc.basis]
+    gens = []
+    for col in basis:
+        shift = F(p) ** rng.randint(-1, 1)
+        gens.append([shift * x for x in col])
+    for _ in range(rng.randint(0, 2)):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        gens.append([sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(n)])
+    piece_lattice = Lattice.span(p, gens)
+    assert piece_lattice.rank == len(basis)
+    assert isinstance(_agreed_outcome(alpha, piece_lattice), int)
+    piece = rng.choice(pieces).basis
+    coeffs = [rng.randint(1, 2) for _ in piece]
+    start = [sum(c * col[i] for c, col in zip(coeffs, piece)) for i in range(n)]
+    krylov = _krylov_columns(alpha, pd._primitive_direction(start))
+    if len(krylov) < n:
+        assert isinstance(_agreed_outcome(alpha, Lattice.span(p, krylov)), int)
+
+    # partial spans that alpha may move: the error must agree too
+    if n > 1:
+        part = [
+            [F(rng.randint(-1, 1), rng.choice([1, p])) for _ in range(n)]
+            for _ in range(rng.randint(1, min(n - 1, 3)))
+        ]
+        _agreed_outcome(alpha, Lattice.span(p, part, ambient=n))
+
+    # rank zero, and a lattice of the wrong dimension
+    assert _agreed_outcome(alpha, Lattice.zero(n, p)) == 0
+    other = n + 1 if n == 1 or rng.random() < 0.5 else n - 1
+    mismatch = (InputError, "matrix shape does not match the ambient space")
+    assert _agreed_outcome(alpha, Lattice.standard(other, p)) == mismatch
+    assert _agreed_outcome(alpha, Lattice.zero(other, p)) == mismatch
+
+
+class TestExpansionExponentKernel:
+    def test_containment_at_the_precision_bound(self):
+        # alpha(V) lies in V, so Delta_r of the generators has the valuation
+        # of det(d H_piv), K - 1 for the modulus p^K, and here all of it sits
+        # in one elementary divisor, which p^(K - 1) would lose
+        cases = [
+            # d = 3 and H = (1, 0)^T: v_3 det(d H_piv) = 1
+            (aut([[1, 0], [0, F(1, 3)]]), Lattice.span(3, [(1, 0)], ambient=2)),
+            # d = 1 and H = diag(1, 9): v_3 det(H_piv) = 2
+            (aut([[1, 1], [0, 1]]), Lattice.span(3, [(1, 0), (0, 9)])),
+        ]
+        for alpha, lat in cases:
+            assert pd.expansion_exponent(alpha, lat) == 0
+            assert _reference_expansion_exponent(alpha, lat) == 0
+
+    def test_moved_span_names_both_ranks(self):
+        alpha = aut([[0, 1, 0], [1, 0, 0], [0, 0, 3]])
+        line = Lattice.span(3, [(1, 0, 0)], ambient=3)
+        plane = Lattice.span(3, [(1, 0, 0), (0, 0, 1)], ambient=3)
+        for lat, message in [(line, "ranks differ: 0 vs 1"), (plane, "ranks differ: 1 vs 2")]:
+            with pytest.raises(CommensurabilityError, match=message):
+                pd.expansion_exponent(alpha, lat)
+            assert _outcome(_reference_expansion_exponent, alpha, lat) == (
+                CommensurabilityError,
+                message,
+            )
