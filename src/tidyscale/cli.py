@@ -3,9 +3,9 @@
 Configs are nested key-value text with exact numerics: integers stay
 integers and every non-integer rational is written as a string like
 "1/3"; floats are rejected wherever they appear.  Human-readable reports
-go to standard output; --out writes the machine form, which is byte
-deterministic for a fixed config and flag set and round-trips through
-the standard JSON parser.
+go to standard output, which is byte deterministic like the machine form
+that --out writes; the elapsed time goes to standard error.  The machine
+form round-trips through the standard JSON parser.
 
 Exit status: 0 success, 1 a verification or golden comparison failed,
 2 bad input (config, flags, unknown names), 3 a resource cap was hit,
@@ -84,8 +84,18 @@ class _DuplicateKeyError(yaml.YAMLError):
 _SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
-class _UniqueKeyLoader(_SafeLoader):
-    """Safe loader that refuses a mapping key given twice."""
+class _StrictConstructor:
+    """Loader mixin: refuses a mapping key given twice, and turns a value
+    that its tag cannot take (`!!int x`, `!!bool maybe`) into a constructor
+    error marked at its node."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, KeyError, AttributeError, TypeError, OverflowError) as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot construct {node.tag}", node.start_mark
+            ) from exc
 
     def construct_document(self, node):
         # check the composed tree before construction: building a mapping
@@ -111,6 +121,10 @@ class _UniqueKeyLoader(_SafeLoader):
             elif isinstance(here, yaml.SequenceNode):
                 stack.extend(here.value)
         return super().construct_document(node)
+
+
+class _UniqueKeyLoader(_StrictConstructor, _SafeLoader):
+    """The config loader: libyaml's safe loader where it is built."""
 
 
 def parse_config(text, source):
@@ -1210,7 +1224,7 @@ def run(args):
     for line in lines:
         print(line)
     elapsed = time.monotonic() - started
-    print(f"elapsed: {elapsed:.3f}s")
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(machine_report(report))

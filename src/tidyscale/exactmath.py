@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import combinations, zip_longest
+from math import gcd, isqrt, lcm
 
 
 class _PlusInfinity:
@@ -75,17 +76,100 @@ _SMALL_PRIMES = frozenset(
 )
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the bases above is exact below this bound (Sorenson and
+# Webster, Math. Comp. 86 (2017))
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(p) -> bool:
+    """Primality of an integer; False for anything that is not an int.
+
+    Below 2^10 a set lookup.  Above, deterministic Miller-Rabin on the
+    first 13 prime bases, which is exact below 3.3 * 10^24, and above that
+    the strong Baillie-PSW test: Miller-Rabin to base 2 and the strong
+    Lucas test with Selfridge's parameters (Baillie and Wagstaff, Math.
+    Comp. 35 (1980); Cohen, GTM 138, section 8.2), to which no
+    counterexample is known.
+    """
     if not isinstance(p, int):
         return False
     if p < _SMALL_PRIME_BOUND:
-        # a set lookup is cheaper than sympy's test and keeps sympy, which
-        # takes a third of a second to import, out of jobs that need no
-        # factoring
         return p in _SMALL_PRIMES
-    from sympy import isprime
+    if any(p % a == 0 for a in _MR_BASES):
+        return False
+    if p < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(p, a) for a in _MR_BASES)
+    return _strong_probable_prime(p, 2) and _strong_lucas_probable_prime(p)
 
-    return bool(isprime(p))
+
+def _strong_probable_prime(n, a):
+    """Miller-Rabin round: is the odd n > a a strong probable prime to base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a / n) for odd positive n."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test of the odd n, with P = 1 and Q = (1 - D) / 4 for the
+    first D in 5, -7, 9, -11, ... with Jacobi symbol (D / n) = -1."""
+    if isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    disc = 5
+    while True:
+        j = _jacobi(disc, n)
+        if j == -1:
+            break
+        if j == 0 and abs(disc) < n:
+            return False
+        disc = -disc - 2 if disc > 0 else -disc + 2
+    q = (1 - disc) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k, Q^k from k = 1 along the bits of d
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(disc * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _check_prime(p):
@@ -555,21 +639,320 @@ def factor_over_q(coeffs):
     """Irreducible monic factors of sum(coeffs[i] x^i) over Q.
 
     Returns [(factor_coeffs, multiplicity) ...] with factor_coeffs ascending
-    in x, monic, sorted by (degree, coefficients) for determinism."""
-    import sympy
+    in x, monic, sorted by (degree, coefficients) for determinism; a constant
+    polynomial has no factors.
 
-    x = sympy.Symbol("x")
-    expr = sum(
-        sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x**i
-        for i, c in enumerate(coeffs)
-    )
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    Zassenhaus's method in integers (Cohen, GTM 138, section 3.5; von zur
+    Gathen and Gerhard, Modern Computer Algebra, chapters 14-15): the
+    primitive integer multiple of the polynomial is split into square-free
+    parts by Yun's algorithm; each part is factored modulo the least odd
+    prime q that keeps it square-free (roots by evaluation, the rest by
+    Berlekamp's algorithm), the factors are Hensel-lifted modulo a power of
+    q above twice the Landau-Mignotte bound, and products of lifted factors
+    are tried as true factors by trial division, smallest subsets first.
+    """
+    f = [Fraction(c) for c in coeffs]
+    _trim(f)
+    if len(f) < 2:
+        return []
+    den = 1
+    for c in f:
+        den = lcm(den, c.denominator)
     out = []
-    for poly, mult in factors:
-        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-        lead = cs[-1]
-        cs = [c / lead for c in cs]
-        out.append((tuple(cs), int(mult)))
+    for part, mult in _squarefree_parts(_primitive([int(c * den) for c in f])):
+        for g in _zassenhaus(part) if len(part) > 2 else [part]:
+            out.append((tuple(Fraction(c, g[-1]) for c in g), mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 
+
+# Polynomials below are lists of coefficients, ascending in x, with no
+# trailing zeros: [] is the zero polynomial.  Functions named _m* work
+# modulo m, with coefficients in [0, m); the divisor of _mdivmod has a
+# leading coefficient invertible modulo m.
+
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _add(a, b, scale=1):
+    return _trim([x + scale * y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _primitive(f):
+    """f divided by its content, leading coefficient positive."""
+    g = 0
+    for c in f:
+        g = gcd(g, c)
+    if f[-1] < 0:
+        g = -g
+    return [c // g for c in f] if g not in (0, 1) else list(f)
+
+
+def _pseudo_remainder(a, b):
+    """A remainder of a scalar multiple of a on division by b, over Z."""
+    r, lb, shift = list(a), b[-1], len(a) - len(b)
+    while shift >= 0 and r:
+        c = r[-1]
+        r = [x * lb for x in r]
+        for i, bi in enumerate(b):
+            r[shift + i] -= c * bi
+        _trim(r)
+        shift = len(r) - len(b)
+    return r
+
+
+def _zgcd(a, b):
+    """Primitive gcd in Z[x] with a positive leading coefficient, by the
+    primitive remainder sequence; gcd(a, 0) is the primitive part of a."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), b and _primitive(b)
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, r and _primitive(r)
+    return a
+
+
+def _zdivide(a, b):
+    """a / b in Z[x] if b divides a there, else None."""
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    lb = b[-1]
+    for shift in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[shift + len(b) - 1], lb)
+        if rem:
+            return None
+        q[shift] = c
+        if c:
+            for i, bi in enumerate(b):
+                r[shift + i] -= c * bi
+    return q if not any(r) else None
+
+
+def _squarefree_parts(f):
+    """Yun's algorithm on the primitive f: [(a_i, i) ...] with the a_i
+    primitive, square-free, pairwise coprime and of positive degree, and
+    f equal to the product of the a_i^i."""
+    df = _derivative(f)
+    common = _zgcd(f, df)
+    b, c = _zdivide(f, common), _zdivide(df, common)
+    out = []
+    mult = 1
+    while len(b) > 1:
+        d = _add(c, _derivative(b), -1)
+        a = _zgcd(b, d)
+        if len(a) > 1:
+            out.append((a, mult))
+        b, c = _zdivide(b, a), _zdivide(d, a)
+        mult += 1
+    return out
+
+
+def _zassenhaus(f):
+    """Irreducible factors in Z[x] of the primitive square-free f of degree
+    at least 2, each primitive with a positive leading coefficient."""
+    q = 3
+    while f[-1] % q == 0 or len(_mgcd(_mreduce(f, q), _mreduce(_derivative(f), q), q)) > 1:
+        q += 2
+        while not is_prime(q):
+            q += 2
+    modular = _factor_mod(f, q)
+    if len(modular) == 1:
+        return [f]
+    # |coefficient| of b g / lc(g), for b = lc(f) and g a factor of f, is at
+    # most 2^deg(f) ||f||_2 (Landau-Mignotte)
+    bound = 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
+    modulus, exponent = q, 1
+    while modulus <= 2 * bound:
+        modulus, exponent = modulus * modulus, exponent * 2
+    lifted = [_hensel_lift(f, g, q, exponent) for g in modular]
+    half = modulus // 2
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            candidate = [f[-1]]
+            for i in subset:
+                candidate = _mmul(candidate, lifted[i], modulus)
+            g = _primitive([c - modulus if c > half else c for c in candidate])
+            cofactor = _zdivide(f, g)
+            if cofactor is not None:
+                factors.append(g)
+                f = cofactor
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    factors.append(f)
+    return factors
+
+
+def _mreduce(f, m):
+    return _trim([c % m for c in f])
+
+
+def _mmul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _mreduce(out, m)
+
+
+def _mdivmod(a, b, m):
+    inv = pow(b[-1], -1, m)
+    r = [x % m for x in a]
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = r[shift + db] * inv % m
+        q[shift] = c
+        if c:
+            for i in range(db):  # the top coefficient cancels
+                r[shift + i] = (r[shift + i] - c * b[i]) % m
+    return q, _trim(r[:db])
+
+
+def _mmonic(f, m):
+    inv = pow(f[-1], -1, m)
+    return [c * inv % m for c in f]
+
+
+def _mgcd(a, b, q):
+    """Monic gcd modulo the prime q."""
+    while b:
+        a, b = b, _mdivmod(a, b, q)[1]
+    return _mmonic(a, q) if a else a
+
+
+def _factor_mod(f, q):
+    """Monic irreducible factors modulo the prime q of f, square-free modulo
+    q with leading coefficient prime to q: the linear factors from the roots
+    in F_q, found by evaluation, and the rest by Berlekamp's algorithm."""
+    u = _mmonic(_mreduce(f, q), q)
+    factors = []
+    for s in range(q):
+        quotient, rem = _mdivmod(u, [-s % q, 1], q)
+        if not rem:
+            factors.append([-s % q, 1])
+            u = quotient
+    if len(u) > 2:
+        factors.extend(_berlekamp(u, q))
+    return factors
+
+
+def _berlekamp(u, q):
+    """Monic irreducible factors of the monic square-free u modulo the
+    prime q.  The v with v^q = v modulo u form the kernel of Q - I, Q the
+    matrix of the Frobenius map h -> h^q on F_q[x]/(u); its dimension is the
+    number of irreducible factors, and gcd(w, v - s) over s in F_q splits
+    every factor w that a kernel element v tells apart."""
+    n = len(u) - 1
+    xq, base, e = [1], [0, 1], q
+    while e:
+        if e & 1:
+            xq = _mdivmod(_mmul(xq, base, q), u, q)[1]
+        base = _mdivmod(_mmul(base, base, q), u, q)[1]
+        e >>= 1
+    rows, row = [], [1]
+    for i in range(n):
+        padded = row + [0] * (n - len(row))
+        padded[i] -= 1
+        rows.append(padded)
+        row = _mdivmod(_mmul(row, xq, q), u, q)[1]
+    kernel = _mod_kernel([list(col) for col in zip(*rows)], q)
+    factors = [u]
+    for v in kernel:
+        if len(factors) == len(kernel):
+            break
+        v = _trim(list(v))
+        if len(v) < 2:
+            continue
+        split = []
+        for w in factors:
+            for s in range(q):
+                if len(w) < 3:
+                    break
+                g = _mgcd(w, _mreduce([v[0] - s] + v[1:], q), q)
+                if 1 < len(g) < len(w):
+                    split.append(g)
+                    w = _mdivmod(w, g, q)[0]
+            split.append(w)
+        factors = split
+    return factors
+
+
+def _mod_kernel(a, q):
+    """Basis of {x : a x = 0} over F_q, q prime."""
+    work = [[x % q for x in row] for row in a]
+    m = len(work[0])
+    pivots = []
+    for col in range(m):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, q)
+        work[rank] = [x * inv % q for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [(x - f * y) % q for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (j for j in range(m) if j not in pivots):
+        v = [0] * m
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][free] % q
+        basis.append(v)
+    return basis
+
+
+def _hensel_lift(f, g, q, exponent):
+    """The monic factor of f modulo q^exponent (a power of two) that is
+    congruent to g modulo the prime q, for a monic g dividing f modulo q
+    and prime to its cofactor there.
+
+    Quadratic lifting of one factor: with h = f quo g and t the inverse of
+    h modulo g, a step from modulus m to m^2 sets g <- g + (t (f rem g)
+    rem g), for which t is needed modulo m only, after t <- t (2 - t h)
+    rem g has lifted t from the previous modulus to m.  For g = x - r this
+    is Newton's iteration r <- r - f(r) / f'(r), with 1 / f'(r) carried
+    along as t.
+    """
+    m, t = q, None
+    while exponent > 1:
+        h, e = _mdivmod(f, g, m * m)
+        if t is None:
+            t = _minverse(h, g, m)
+        else:
+            th = _mdivmod(_mmul(t, h, m), g, m)[1]
+            t = _mdivmod(_mmul(t, _mreduce(_add([2], th, -1), m), m), g, m)[1]
+        m *= m
+        exponent //= 2
+        g = _mreduce(_add(g, _mdivmod(_mmul(t, e, m), g, m)[1]), m)
+    return g
+
+
+def _minverse(a, g, q):
+    """The inverse of a modulo g over F_q, for a prime to g."""
+    r0, r1 = g, _mdivmod(a, g, q)[1]
+    s0, s1 = [], [1]
+    while r1:
+        quotient, rem = _mdivmod(r0, r1, q)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _mreduce(_add(s0, _mmul(quotient, s1, q), -1), q)
+    return _mmul([pow(r0[0], -1, q)], s0, q)

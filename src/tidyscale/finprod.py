@@ -1010,9 +1010,9 @@ def k_subgroup(alpha, cap=DEFAULT_CAP):
 
 def l_subgroup(alpha, v, depth, cap=DEFAULT_CAP):
     """Closure of the elements whose two-sided orbit leaves V only finitely
-    often."""
+    often.  For a shiftless alpha, `cap` also bounds the order searched."""
     if alpha.d == 0:
-        order = alpha.order()
+        order = alpha.order(cap)
         out = v
         acc = alpha
         for _ in range(order - 1):

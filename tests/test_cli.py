@@ -6,8 +6,13 @@ report written by --out.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from tidyscale import cli
 
@@ -135,6 +140,27 @@ class TestConfigValidation:
         path.write_text("backend: [unclosed\n", encoding="utf-8")
         assert cli.main(["scale", "--config", str(path)]) == 2
         assert "malformed config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure-python"])
+    @pytest.mark.parametrize("value, mark", [
+        ("!!int x", "3:7"),
+        ("!!bool maybe", "3:7"),
+        ("[1, !!timestamp x]", "3:11"),
+    ])
+    def test_value_its_tag_cannot_take(self, tmp_path, capsys, monkeypatch,
+                                       loader, value, mark):
+        if loader == "libyaml" and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        base = yaml.CSafeLoader if loader == "libyaml" else yaml.SafeLoader
+        monkeypatch.setattr(cli, "_UniqueKeyLoader", type(
+            "Loader", (cli._StrictConstructor, base), {}
+        ))
+        path = tmp_path / "t.cfg"
+        path.write_text(
+            f"backend: torus\nprime: 2\nsize: {value}\n", encoding="utf-8"
+        )
+        assert cli.main(["scale", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{mark}: malformed config\n"
 
     def test_unknown_command_exits_two(self, capsys):
         assert cli.main(["frobnicate"]) == 2
@@ -317,6 +343,14 @@ class TestExamples:
         assert cli.main(["example", "9.99"]) == 2
         assert "unknown example" in capsys.readouterr().err
 
+    def test_stdout_deterministic(self, capsys):
+        runs = []
+        for _ in range(2):
+            assert cli.main(["example", "3.5"]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out == runs[1].out
+        assert runs[0].err.startswith("elapsed: ")
+
     def test_machine_report_deterministic(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -407,11 +441,11 @@ class TestEntryPoint:
         if out.exists():
             report = out.read_text(encoding="utf-8")
             out.unlink()
-        stdout = [
-            line for line in captured.out.splitlines()
+        stderr = "\n".join(
+            line for line in captured.err.splitlines()
             if not line.startswith("elapsed:")
-        ]
-        return code, report, stdout, captured.err
+        )
+        return code, report, captured.out, stderr
 
     def test_parser_is_built_once(self, diag_config, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
@@ -441,3 +475,35 @@ class TestEntryPoint:
             "internal error: RuntimeError: extreme point routes disagree"
             " (internal)\n"
         )
+
+
+_NO_SYMPY_SCRIPT = """
+import sys
+from tidyscale import cli
+
+def check(step):
+    if "sympy" in sys.modules:
+        sys.exit("sympy imported by " + step)
+
+check("import tidyscale.cli")
+for config in sys.argv[1:]:
+    for command in cli.GENERIC_COMMANDS:
+        if cli.main([command, "--config", config]) != 0:
+            sys.exit(command + " failed on " + config)
+        check(command + " on " + config)
+for name in ("3.5", "6.10"):
+    if cli.main(["example", name]) != 0:
+        sys.exit("example " + name + " failed")
+    check("example " + name)
+"""
+
+
+def test_run_time_never_imports_sympy():
+    package = Path(cli.__file__).parent
+    configs = [str(package / "examples" / name) for name in ("6.10.yaml", "6.10.alt.yaml")]
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_SCRIPT, *configs],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

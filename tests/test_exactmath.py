@@ -47,10 +47,32 @@ class TestValuation:
     def test_is_prime_matches_sympy(self):
         from sympy import isprime
 
-        for p in list(range(-3, 2000)) + [2**31 - 1, 2**61 - 1, 10**18 + 9]:
+        carmichael = [561, 41041, 825265, 321197185, 5394826801, 232250619601,
+                      9746347772161]
+        # strong pseudoprimes to every prime base up to 7, 11, 13, 23, 37
+        # and 41: the last is the bound below which Miller-Rabin on the
+        # first 13 prime bases is exact
+        strong_pseudoprimes = [3215031751, 2152302898747, 3474749660383,
+                               3825123056546413051, 318665857834031151167461,
+                               3317044064679887385961981]
+        above_2_64 = [2**64 + 13, 2**64 + 15, 2**89 - 1, 3317044064679887385961979,
+                      (10**12 + 39) * (2 * 10**12 + 79)]
+        above_bound = [10**25 + 13, 10**25 + 11, 2**107 - 1, 2**127 - 1,
+                       (2**61 - 1) * (2**89 - 1), (2**89 - 1) ** 2]
+        for p in (list(range(-3, 2000)) + [2**31 - 1, 2**61 - 1, 10**18 + 9]
+                  + carmichael + strong_pseudoprimes + above_2_64 + above_bound):
             assert is_prime(p) == isprime(p), p
         for not_int in (True, Fraction(3), 3.0):
             assert not is_prime(not_int)
+
+    def test_strong_lucas_matches_sympy(self):
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        from tidyscale.exactmath import _strong_lucas_probable_prime
+
+        # the composites that pass begin 5459, 5777, 10877, 16109, ...
+        for n in range(3, 30001, 2):
+            assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
 
     @given(
         st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
@@ -222,6 +244,57 @@ class TestKernel:
             assert all(all(x == 0 for x in row) for row in prod.entries)
 
 
+def _sympy_factors(coeffs):
+    """factor_over_q's contract, computed by sympy's factor_list."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * x**i
+        for i, c in enumerate(map(Fraction, coeffs))
+    )
+    out = []
+    for poly, mult in sympy.Poly(expr, x, domain="QQ").factor_list()[1]:
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        out.append((tuple(c / cs[-1] for c in cs), int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+# Irreducible over Q, reducible modulo every prime, so their modular
+# factors recombine: x^4 + 1, x^4 - 10x^2 + 1 (the minimal polynomial of
+# sqrt 2 + sqrt 3), and shifted or rescaled forms of them.
+_SPLIT_EVERYWHERE = (
+    [1, 0, 0, 0, 1],
+    [1, 0, -10, 0, 1],
+    [2, 4, 6, 4, 1],
+    [1, 0, -40, 0, 16],
+)
+
+
+@st.composite
+def _rational_polynomials(draw):
+    """Rational polynomials of degree at most 8: products of random pieces
+    and of the quartics above, each to a drawn power, times a constant."""
+    coefficient = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    random_piece = st.lists(coefficient, min_size=2, max_size=5).filter(lambda c: c[-1] != 0)
+    piece = st.one_of(random_piece, st.sampled_from(_SPLIT_EVERYWHERE))
+    poly = [draw(coefficient.filter(bool))]
+    for factor, power in draw(st.lists(st.tuples(piece, st.integers(1, 3)), min_size=1, max_size=4)):
+        for _ in range(power):
+            if len(poly) + len(factor) - 2 <= 8:
+                poly = _poly_mul(poly, [Fraction(c) for c in factor])
+    return poly
+
+
 class TestPolynomials:
     def test_charpoly_diagonal(self):
         cs = charpoly([[Fraction(1, 3), 0], [0, 3]])
@@ -275,3 +348,31 @@ class TestPolynomials:
     def test_factor_multiplicity(self):
         factors = factor_over_q([1, 2, 1])  # (x+1)^2
         assert factors == [((Fraction(1), Fraction(1)), 2)]
+
+    def test_constant_has_no_factors(self):
+        assert factor_over_q([Fraction(5, 3)]) == []
+        assert factor_over_q([0, 0]) == []
+
+    @given(_rational_polynomials())
+    @settings(max_examples=150, deadline=None)
+    def test_factor_over_q_matches_sympy(self, coeffs):
+        assert factor_over_q(coeffs) == _sympy_factors(coeffs)
+
+    def test_factor_over_q_on_acceptance_charpolys(self, capsys, monkeypatch):
+        import test_acceptance
+
+        from tidyscale import padic
+
+        seen = set()
+
+        def recording(coeffs):
+            seen.add(tuple(coeffs))
+            return factor_over_q(coeffs)
+
+        monkeypatch.setattr(padic, "factor_over_q", recording)
+        test_acceptance.test_ac1_scale_matches_lattice_minimization(capsys)
+        test_acceptance.test_ac8_identity_suite_and_basis_independence(capsys)
+        assert len(seen) > 20
+        for coeffs in seen:
+            assert factor_over_q(coeffs) == _sympy_factors(coeffs), coeffs
+

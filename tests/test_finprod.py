@@ -644,6 +644,16 @@ class TestLSubgroup:
         assert exact
         assert lpart == meet(u, apply(gamma, u))
 
+    def test_cap_bounds_the_order(self, s3_restricted):
+        # twist0 conjugates slot (0, 0) by a 3-cycle, so it has order 3
+        amb, b, shift, twist0 = s3_restricted
+        g1 = product_subgroup(amb, 0, 1, {}, left=b, right=b)
+        with pytest.raises(ResourceCapError):
+            l_subgroup(twist0, g1, 6, cap=2)
+        lpart, exact = l_subgroup(twist0, g1, 6, cap=3)
+        assert exact
+        assert lpart == l_subgroup(twist0, g1, 6)[0]
+
     def test_shift_case_collects_tail_orbits(self, s3_restricted):
         amb, b, shift, twist0 = s3_restricted
         g1 = product_subgroup(amb, 0, 1, {}, left=b, right=b)
