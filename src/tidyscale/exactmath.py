@@ -25,6 +25,8 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt, lcm
 
+from .errors import InputError, SingularityError
+
 
 class _PlusInfinity:
     """Sentinel for the valuation of zero. Compares above every rational."""
@@ -173,8 +175,6 @@ def _strong_lucas_probable_prime(n):
 
 
 def _check_prime(p):
-    from .errors import InputError
-
     if not is_prime(p):
         raise InputError(f"p = {p!r} is not a prime")
 
@@ -223,8 +223,6 @@ def newton_polygon(coeffs, p) -> NewtonPolygon:
     Requires nonzero constant and leading coefficients, so every root is a
     nonzero algebraic number and slopes account for the full degree.
     """
-    from .errors import InputError, SingularityError
-
     _check_prime(p)
     coeffs = [Fraction(c) for c in coeffs]
     if len(coeffs) < 2:
@@ -264,8 +262,6 @@ class IntegerMatrix:
     entries: tuple  # tuple of row tuples
 
     def __post_init__(self):
-        from .errors import InputError
-
         rows = tuple(tuple(int(x) for x in row) for row in self.entries)
         if not rows or not rows[0]:
             raise InputError("matrix must have at least one row and column")
@@ -380,19 +376,24 @@ def hermite_form_with_transform(mat: IntegerMatrix):
     )
 
 
+def _kernel_coordinates(rows, keep):
+    """The saturated integer kernel of an integer matrix, given as a list of
+    rows that is overwritten: the first `keep` coordinates of a basis, one
+    column per basis vector (no columns when the kernel is trivial)."""
+    m = len(rows[0])
+    u = [[int(i == j) for j in range(m)] for i in range(keep)]
+    _hermite_inplace(rows, u)
+    zero = next((j for j in range(m) if any(row[j] for row in rows)), m)
+    return [row[:zero] for row in u]
+
+
 def kernel_basis(mat: IntegerMatrix):
     """Basis of the saturated integer kernel {x : mat x = 0}, as columns.
 
     Returns an IntegerMatrix (cols x k) or None when the kernel is trivial.
     """
-    h, u = hermite_form_with_transform(mat)
-    zero_cols = [
-        j for j in range(mat.cols) if all(h.entries[i][j] == 0 for i in range(mat.rows))
-    ]
-    if not zero_cols:
-        return None
-    cols = [[u.entries[i][j] for j in zero_cols] for i in range(mat.cols)]
-    return IntegerMatrix(tuple(tuple(r) for r in cols))
+    cols = _kernel_coordinates(mat.to_lists(), mat.cols)
+    return IntegerMatrix(tuple(tuple(r) for r in cols)) if cols[0] else None
 
 
 def _smith_inplace(a, pinv=None, q=None):
@@ -496,8 +497,12 @@ def smith_invariants(mat: IntegerMatrix):
     """(rank, invariant factors d_1 | d_2 | ... | d_r), all positive.
 
     The cokernel of mat read as a map into Z^rows is free of rank
-    rows - rank plus a Z/d_i summand for each invariant factor."""
+    rows - rank plus a Z/d_i summand for each invariant factor.  The
+    diagonalization starts from the column Hermite form, mat times a
+    unimodular matrix, which has the same invariant factors and keeps the
+    entries of the Smith elimination small."""
     a = mat.to_lists()
+    _hermite_inplace(a)
     r = _smith_inplace(a)
     return r, tuple(a[i][i] for i in range(r))
 
@@ -552,8 +557,6 @@ def mat_identity(n):
 
 
 def mat_inverse(a):
-    from .errors import SingularityError
-
     n = len(a)
     work = [list(map(Fraction, row)) + row_id for row, row_id in
             zip(a, ([Fraction(int(i == j)) for j in range(n)] for i in range(n)))]

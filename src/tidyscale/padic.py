@@ -28,7 +28,9 @@ from .errors import (
 )
 from .exactmath import (
     IntegerMatrix,
+    _hermite_inplace,
     _integer_scaled,
+    _kernel_coordinates,
     charpoly,
     factor_over_q,
     hermite_form,
@@ -42,7 +44,6 @@ from .exactmath import (
     newton_polygon,
     padic_valuation,
     rat_kernel,
-    smith_decomposition,
 )
 
 
@@ -144,33 +145,48 @@ class Lattice:
         for c in cols:
             for x in c:
                 den = lcm(den, x.denominator)
-        a = padic_valuation(den, p)
-        scaled = [[int(x * den) for x in c] for c in cols]
-        mat = IntegerMatrix(tuple(zip(*scaled)))
-        rank, factors, pinv, _ = smith_decomposition(mat)
-        if rank == 0:
-            return cls.zero(ambient, p)
-        # Replace each elementary divisor by its p-part: prime-to-p content
-        # is a unit p-locally, and this saturates the basis at other primes.
-        gens = tuple(
-            tuple(
-                pinv.entries[i][j] * p ** padic_valuation(factors[j], p)
-                for j in range(rank)
-            )
+        rows = [
+            [c[i].numerator * (den // c[i].denominator) for c in cols]
             for i in range(ambient)
-        )
-        h = hermite_form(IntegerMatrix(gens))
-        c = min(
-            padic_valuation(x, p)
-            for row in h.entries
-            for x in row
-            if x != 0
-        )
+        ]
+        return cls._from_integer(p, ambient, -_int_valuation(den, p), rows)
+
+    @classmethod
+    def _from_integer(cls, p, n, e, rows):
+        """p^e times the Z_(p)-span of the columns of an integer n x m
+        matrix, given as a list of rows that is overwritten.
+
+        Let S be the span of H0, the column Hermite form of the generators,
+        and L = Z_(p) S intersected with Z^n.  The order of L / S is prime to
+        p and divides [W : S], W the saturation of S, which divides the
+        product of H0's pivots.  With u the prime-to-p part of that product,
+        u L lies in S, so L = (S intersected with u Z^n) / u = H0 K / u, K the
+        H0-coordinates of the kernel of [H0 | u I].  The canonical basis is
+        the Hermite form of L divided by the largest p-power dividing it.
+        """
+        if not rows[0]:
+            return cls(n, p, 0, None)
+        _hermite_inplace(rows)
+        m = len(rows[0])
+        first = next((j for j in range(m) if any(row[j] for row in rows)), m)
+        if first == m:
+            return cls(n, p, 0, None)
+        h = [row[first:] for row in rows]
+        r = m - first
+        u = 1
+        for j in range(r):
+            pivot = next(row[j] for row in reversed(h) if row[j])
+            u *= pivot // p ** _int_valuation(pivot, p)
+        if u > 1:
+            aug = [row + [u * (k == i) for k in range(n)] for i, row in enumerate(h)]
+            k = _kernel_coordinates(aug, r)
+            h = [[x // u for x in row] for row in mat_mul(h, k)]
+            _hermite_inplace(h)
+        c = min(_int_valuation(x, p) for row in h for x in row if x)
         if c:
-            h = IntegerMatrix(
-                tuple(tuple(x // p**c for x in row) for row in h.entries)
-            )
-        return cls(ambient, p, c - a, h)
+            q = p**c
+            h = [[x // q for x in row] for row in h]
+        return cls(n, p, e + c, IntegerMatrix(tuple(tuple(row) for row in h)))
 
     # -- inspection ---------------------------------------------------
 
@@ -234,46 +250,35 @@ class Lattice:
 
     def __add__(self, other):
         self._require_compatible(other)
-        cols = list(self.basis_columns()) + list(other.basis_columns())
-        return Lattice.span(self.prime, cols, ambient=self.ambient)
+        if other.rank == 0:
+            return self
+        if self.rank == 0:
+            return other
+        e0 = min(self.exponent, other.exponent)
+        a, b = _shifted(self, e0), _shifted(other, e0)
+        rows = [ra + rb for ra, rb in zip(a, b)]
+        return Lattice._from_integer(self.prime, self.ambient, e0, rows)
 
     def intersect(self, other):
         self._require_compatible(other)
         if self.rank == 0 or other.rank == 0:
             return Lattice.zero(self.ambient, self.prime)
-        p = self.prime
         e0 = min(self.exponent, other.exponent)
-        a = [
-            [self.hermite.entries[i][j] * p ** (self.exponent - e0) for j in range(self.rank)]
-            for i in range(self.ambient)
-        ]
-        b = [
-            [other.hermite.entries[i][j] * p ** (other.exponent - e0) for j in range(other.rank)]
-            for i in range(self.ambient)
-        ]
-        stacked = IntegerMatrix(
-            tuple(tuple(a[i] + [-x for x in b[i]]) for i in range(self.ambient))
-        )
-        kern = kernel_basis(stacked)
-        if kern is None:
-            return Lattice.zero(self.ambient, p)
-        scale = Fraction(p) ** e0
-        cols = [
-            [
-                scale * sum(a[i][t] * kern.entries[t][j] for t in range(self.rank))
-                for i in range(self.ambient)
-            ]
-            for j in range(kern.cols)
-        ]
-        return Lattice.span(p, cols, ambient=self.ambient)
+        a, b = _shifted(self, e0), _shifted(other, e0)
+        stacked = [ra + [-x for x in rb] for ra, rb in zip(a, b)]
+        kern = _kernel_coordinates(stacked, self.rank)
+        return Lattice._from_integer(self.prime, self.ambient, e0, mat_mul(a, kern))
 
     def image(self, matrix):
         """Image under a rational n x n matrix applied to the generators."""
-        a = _frac_rows(matrix)
+        d, a = _integer_scaled(matrix)
         if len(a) != self.ambient or any(len(r) != self.ambient for r in a):
             raise InputError("matrix shape does not match the ambient space")
-        cols = [mat_vec([list(r) for r in a], list(c)) for c in self.basis_columns()]
-        return Lattice.span(self.prime, cols, ambient=self.ambient)
+        if self.rank == 0:
+            return self
+        rows = mat_mul(a, self.hermite.entries)
+        e = self.exponent - _int_valuation(d, self.prime)
+        return Lattice._from_integer(self.prime, self.ambient, e, rows)
 
     def contains(self, other):
         self._require_compatible(other)
@@ -337,28 +342,33 @@ class Lattice:
         conditions = rat_kernel([list(c) for c in cols])
         if not conditions:
             return self
-        basis = self.basis_columns()
-        t = [
-            [sum(cond[i] * basis[j][i] for i in range(self.ambient)) for j in range(self.rank)]
-            for cond in conditions
-        ]
+        h = self.hermite.entries
         rows = []
-        for row in t:
+        for cond in conditions:
+            row = [sum(c * x for c, x in zip(cond, col)) for col in zip(*h)]
             den = 1
             for v in row:
                 den = lcm(den, v.denominator)
-            rows.append(tuple(int(v * den) for v in row))
-        kern = kernel_basis(IntegerMatrix(tuple(rows)))
-        if kern is None:
-            return Lattice.zero(self.ambient, self.prime)
-        new_cols = [
-            [
-                sum(basis[t_][i] * kern.entries[t_][j] for t_ in range(self.rank))
-                for i in range(self.ambient)
-            ]
-            for j in range(kern.cols)
-        ]
-        return Lattice.span(self.prime, new_cols, ambient=self.ambient)
+            rows.append([v.numerator * (den // v.denominator) for v in row])
+        kern = _kernel_coordinates(rows, self.rank)
+        return Lattice._from_integer(
+            self.prime, self.ambient, self.exponent, mat_mul(h, kern)
+        )
+
+
+def _int_valuation(x, p):
+    """v_p of a nonzero integer, for a p already known to be prime."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _shifted(lattice, e0):
+    """Rows of p^(e - e0) H for a lattice p^e H of exponent e >= e0."""
+    q = lattice.prime ** (lattice.exponent - e0)
+    return [[x * q for x in row] for row in lattice.hermite.entries]
 
 
 def _check_ambient(n, p):
@@ -680,10 +690,7 @@ def _minors_gcd_valuation(rows, p, precision):
         for i, row in enumerate(work):
             for j, x in enumerate(row):
                 if x:
-                    v = 0
-                    while x % p == 0:
-                        x //= p
-                        v += 1
+                    v = _int_valuation(x, p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None:

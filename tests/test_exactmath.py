@@ -139,6 +139,21 @@ class TestSmith:
         assert smith_invariants(M([[2, 0], [0, 6]])) == (2, (2, 6))
         assert smith_invariants(M([[2, 0], [0, 3]])) == (2, (1, 6))
 
+    def test_krylov_matrix(self):
+        # d alpha applied to a Krylov sequence: the Smith elimination on the
+        # matrix itself grows its entries for seconds, on its Hermite form
+        # it finishes at once
+        a = M(
+            [
+                [-7500, 15250, 60350, 403010],
+                [-5000, -8250, -115025, -351640],
+                [1500, 7000, -59875, -94555],
+                [750, 26700, 17895, 265287],
+            ]
+        )
+        assert smith_invariants(a) == (4, (1, 25, 750, 74123597298750))
+        assert cokernel(a) == (0, (25, 750, 74123597298750))
+
     def test_decomposition_consistency(self):
         rng = random.Random(7)
         for _ in range(40):
