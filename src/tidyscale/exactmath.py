@@ -548,59 +548,72 @@ def mat_mul(a, b):
     ]
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def mat_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, given as
+    a list of rows that is overwritten (Bareiss, Math. Comp. 22 (1968)).
+
+    Each pivot clears its column in every other row by the update
+    (pivot * x - f * y) // previous pivot, a division that is exact because
+    every entry stays a minor of the input.  Returns (pivot columns, d,
+    sign): the first r rows are d times the reduced row echelon form and the
+    others are zero, so every pivot equals d, and sign is -1 to the number
+    of row swaps.  A square matrix of full rank has determinant sign * d.
+    """
+    prev, sign, pivots = 1, 1, []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+    return pivots, prev, sign
+
+
+def det(rows):
+    """Determinant of a square integer matrix."""
+    pivots, d, sign = _gauss_jordan([list(row) for row in rows])
+    return sign * d if len(pivots) == len(rows) else 0
+
+
 def mat_inverse(a):
+    """Inverse of a square rational matrix, by elimination on [d a | d I]."""
     n = len(a)
-    work = [list(map(Fraction, row)) + row_id for row, row_id in
-            zip(a, ([Fraction(int(i == j)) for j in range(n)] for i in range(n)))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise SingularityError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    d, rows = _integer_scaled(a)
+    for i, row in enumerate(rows):
+        row.extend(d * (i == j) for j in range(n))
+    pivots, g, _ = _gauss_jordan(rows)
+    if pivots != list(range(n)):
+        raise SingularityError("matrix is singular")
+    return [[Fraction(x, g) for x in row[n:]] for row in rows]
 
 
 def rat_kernel(a):
-    """Basis of the rational null space {x : a x = 0}, list of vectors."""
-    n = len(a)
-    m = len(a[0]) if n else 0
-    work = [list(map(Fraction, row)) for row in a]
-    pivots = []
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [j for j in range(m) if j not in pivots]
+    """Basis of the rational null space {x : a x = 0}, list of vectors: one
+    per free column f, with 1 at f, 0 at the other free columns."""
+    if not a:
+        return []
+    _, rows = _integer_scaled(a)
+    pivots, d, _ = _gauss_jordan(rows)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * m
+    for f in (j for j in range(len(rows[0])) if j not in pivots):
+        v = [Fraction(0)] * len(rows[0])
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -work[r][f]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[f], d)
         basis.append(v)
     return basis
 
@@ -612,7 +625,7 @@ def _integer_scaled(rows):
     for row in rows:
         for x in row:
             d = lcm(d, x.denominator)
-    return d, [[int(x * d) for x in row] for row in rows]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def charpoly(a):

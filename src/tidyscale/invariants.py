@@ -32,12 +32,13 @@ from .errors import (
 )
 from .exactmath import (
     IntegerMatrix,
+    _gauss_jordan,
     cokernel,
+    hermite_form,
+    hermite_form_with_transform,
     is_prime,
     kernel_basis,
-    mat_inverse,
     padic_valuation,
-    smith_decomposition,
     smith_invariants,
 )
 from . import finprod as _fp
@@ -164,8 +165,7 @@ class DiagonalBackend:
         return _pd.parts(a, img)[0] == _pd.parts(a, self.tidy)[0].image(a.matrix)
 
     def conjugation_matrix(self, element):
-        rows = _pd._frac_rows(element)
-        beta = _pd.PAdicAutomorphism(tuple(tuple(r) for r in rows), self.prime)
+        beta = _pd.PAdicAutomorphism(element, self.prime)
         gen_vals = []
         for g in self.generators:
             if any(
@@ -436,30 +436,29 @@ class WindowedBackend:
 
 
 def _solve_integer_combination(rows, target):
-    """Integer coefficients c with sum c_i rows[i] = target, or None."""
+    """Integer coefficients c with sum c_i rows[i] = target, or None.
+
+    With H = M U the column Hermite form of the matrix M whose columns are
+    the rows, back-substitution from the lowest pivot solves H y = target
+    in integers, and c = U y."""
     if not rows:
         return None
-    mat = IntegerMatrix(tuple(zip(*rows)))  # columns are the rows to combine
-    r, factors, pinv, q = smith_decomposition(mat)
-    inv = mat_inverse([list(row) for row in pinv.entries])
-    s = [
-        sum(inv[i][j] * Fraction(target[j]) for j in range(mat.rows))
-        for i in range(mat.rows)
-    ]
-    y = [Fraction(0)] * mat.cols
-    for i in range(r):
-        quot = s[i] / factors[i]
-        if quot.denominator != 1:
+    h, u = hermite_form_with_transform(IntegerMatrix(tuple(zip(*rows))))
+    h, u = h.entries, u.entries
+    y = [0] * len(rows)
+    rest = list(target)
+    for j in reversed(range(len(rows))):
+        piv = next((i for i in reversed(range(len(h))) if h[i][j]), None)
+        if piv is None:
+            break  # zero columns come first
+        q, remainder = divmod(rest[piv], h[piv][j])
+        if remainder:
             return None
-        y[i] = quot
-    for i in range(r, mat.rows):
-        if s[i] != 0:
-            return None
-    coeffs = [
-        sum(Fraction(q.entries[i][j]) * y[j] for j in range(mat.cols))
-        for i in range(mat.cols)
-    ]
-    return tuple(int(x) for x in coeffs)
+        y[j] = q
+        rest = [x - q * row[j] for x, row in zip(rest, h)]
+    if any(rest):
+        return None
+    return tuple(sum(a * b for a, b in zip(row, y)) for row in u)
 
 
 # ---------------------------------------------------------------------------
@@ -604,96 +603,35 @@ def rank_corank(records, generator_count):
 # the geometry of the functional set
 
 
-def _row_hermite(vectors):
-    """Canonical basis of the integer row span: echelon rows, positive
-    leading entries, entries above each pivot reduced into [0, pivot)."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return []
-    cols = len(rows[0])
-    basis = []
-    r = 0
-    for c in range(cols):
-        pivots = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-        if not pivots:
-            continue
-        while True:
-            pivots = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-            if len(pivots) <= 1:
-                break
-            pivots.sort(key=lambda i: abs(rows[i][c]))
-            small = pivots[0]
-            for i in pivots[1:]:
-                q = rows[i][c] // rows[small][c]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[small])]
-        pivots = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-        if not pivots:
-            continue
-        rows[r], rows[pivots[0]] = rows[pivots[0]], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-a for a in rows[r]]
-        basis.append(r)
-        r += 1
-    rows = rows[:r]
-    # reduce entries above each pivot
-    pivot_cols = []
-    for row in rows:
-        pivot_cols.append(next(c for c in range(cols) if row[c] != 0))
-    for i in range(len(rows) - 1, -1, -1):
-        c = pivot_cols[i]
-        for j in range(i):
-            q = rows[j][c] // rows[i][c]
-            if q:
-                rows[j] = [a - q * b for a, b in zip(rows[j], rows[i])]
-    return [tuple(row) for row in rows]
-
-
 def _saturated_row_basis(mat):
-    """Canonical basis of the saturation of the integer row span of mat."""
+    """Canonical basis of the saturation of the integer row span of mat:
+    echelon rows, positive leading entries, entries above each pivot reduced
+    into [0, pivot).  That is the column Hermite form of the basis columns
+    with their coordinates reversed, read back column by column from the
+    right."""
     ker = kernel_basis(mat)
     if ker is None:
         return [
             tuple(1 if j == i else 0 for j in range(mat.cols))
             for i in range(mat.cols)
         ]
-    return _row_hermite(
-        [tuple(r) for r in kernel_basis(ker.transpose()).transpose().entries]
-    )
+    saturated = kernel_basis(ker.transpose())
+    h = hermite_form(IntegerMatrix(saturated.entries[::-1]))
+    return [col[::-1] for col in reversed(list(zip(*h.entries)))]
 
 
 def _coordinates(vector, basis):
     """Integer coordinates of vector over independent basis rows."""
-    cols = len(vector)
-    rows = len(basis)
-    aug = [[Fraction(basis[i][c]) for i in range(rows)] + [Fraction(vector[c])] for c in range(cols)]
-    # gaussian elimination on the (cols x rows) system
-    coords = [Fraction(0)] * rows
-    pivot_rows = []
-    r = 0
-    for c in range(rows):
-        pivot = next((i for i in range(r, cols) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pivot_rows.append(c)
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(cols):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, cols):
-        if aug[i][rows] != 0:
-            raise InputError("functional lies outside the basis span")
-    for k, c in enumerate(pivot_rows):
-        coords[c] = aug[k][rows]
-    out = []
-    for x in coords:
-        if x.denominator != 1:
+    rows = [list(col) for col in zip(*basis, vector)]
+    pivots, d, _ = _gauss_jordan(rows)
+    if len(basis) in pivots:
+        raise InputError("functional lies outside the basis span")
+    coords = [0] * len(basis)
+    for row, c in zip(rows, pivots):
+        if row[-1] % d:
             raise InputError("non-integer coordinate over the saturated basis")
-        out.append(int(x))
-    return tuple(out)
+        coords[c] = row[-1] // d
+    return tuple(coords)
 
 
 def _is_extreme(point, others):

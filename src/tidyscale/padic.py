@@ -17,12 +17,13 @@ root valuations v <= 0, and a lattice V is tidy when the displacement index
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     CommensurabilityError,
     InfiniteIndexError,
     InputError,
+    SingularityError,
     SlopeSeparabilityError,
     UnsupportedInputError,
 )
@@ -32,6 +33,7 @@ from .exactmath import (
     _integer_scaled,
     _kernel_coordinates,
     charpoly,
+    det,
     factor_over_q,
     hermite_form,
     hermite_form_with_transform,
@@ -40,7 +42,6 @@ from .exactmath import (
     mat_identity,
     mat_inverse,
     mat_mul,
-    mat_vec,
     newton_polygon,
     padic_valuation,
     rat_kernel,
@@ -49,51 +50,6 @@ from .exactmath import (
 
 def _frac_rows(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _rat_det(mat):
-    work = [list(row) for row in mat]
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
-
-
-def _solve_in_span(basis_cols, targets, n):
-    """Solve B x = t for each target, B the n x r matrix with the given
-    columns (full column rank).  Returns the r x k solution columns, or None
-    when some target leaves the span."""
-    r = len(basis_cols)
-    if r == 0:
-        if any(any(x != 0 for x in t) for t in targets):
-            return None
-        return [[] for _ in targets]
-    # Gram trick: B^T B is invertible over Q exactly when columns are
-    # independent, because x^T B^T B x is a sum of rational squares.
-    bt = [list(c) for c in basis_cols]  # r x n
-    gram = [[sum(bt[i][t] * bt[j][t] for t in range(n)) for j in range(r)] for i in range(r)]
-    ginv = mat_inverse(gram)
-    sols = []
-    for t in targets:
-        rhs = [sum(bt[i][k] * t[k] for k in range(n)) for i in range(r)]
-        x = mat_vec(ginv, rhs)
-        back = [sum(basis_cols[j][i] * x[j] for j in range(r)) for i in range(n)]
-        if any(a != b for a, b in zip(back, t)):
-            return None
-        sols.append(x)
-    return sols
 
 
 class Lattice:
@@ -141,14 +97,8 @@ class Lattice:
             raise InputError("generator vectors of unequal length")
         if not cols:
             return cls.zero(ambient, p)
-        den = 1
-        for c in cols:
-            for x in c:
-                den = lcm(den, x.denominator)
-        rows = [
-            [c[i].numerator * (den // c[i].denominator) for c in cols]
-            for i in range(ambient)
-        ]
+        den, scaled = _integer_scaled(cols)
+        rows = [list(row) for row in zip(*scaled)]
         return cls._from_integer(p, ambient, -_int_valuation(den, p), rows)
 
     @classmethod
@@ -285,17 +235,9 @@ class Lattice:
         return (self + other) == self
 
     def member(self, vector):
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.ambient:
+        if len(vector) != self.ambient:
             raise InputError("vector length does not match the ambient space")
-        if all(x == 0 for x in v):
-            return True
-        if self.rank == 0:
-            return False
-        sols = _solve_in_span(self.basis_columns(), [v], self.ambient)
-        if sols is None:
-            return False
-        return all(padic_valuation(x, self.prime) >= 0 for x in sols[0])
+        return self.contains(Lattice.span(self.prime, [vector], self.ambient))
 
     def same_span(self, other):
         self._require_compatible(other)
@@ -303,13 +245,18 @@ class Lattice:
             return False
         if self.rank == 0:
             return True
-        return (
-            _solve_in_span(self.basis_columns(), other.basis_columns(), self.ambient)
-            is not None
+        h = self.hermite.entries
+        piv = _pivot_rows(h)
+        return not any(
+            any(_reduce_by_hermite(h, piv, list(col)))
+            for col in zip(*other.hermite.entries)
         )
 
     def index_exponent_in(self, super_lattice):
-        """v_p of [super : self] for self a finite-index sublattice."""
+        """v_p of [super : self] for self a finite-index sublattice.
+
+        Both Hermite bases have the same pivot rows, where they are
+        triangular, so the index is read off the p-parts of the pivots."""
         self._require_compatible(super_lattice)
         if self.rank != super_lattice.rank:
             raise CommensurabilityError(
@@ -317,16 +264,11 @@ class Lattice:
             )
         if self.rank == 0:
             return 0
-        x = _solve_in_span(
-            super_lattice.basis_columns(), self.basis_columns(), self.ambient
-        )
-        if x is None:
+        if not self.same_span(super_lattice):
             raise CommensurabilityError("lattices span different subspaces")
-        cols = x  # r columns, each of length r
-        if any(padic_valuation(v, self.prime) < 0 for col in cols for v in col):
+        if not super_lattice.contains(self):
             raise InfiniteIndexError(super_lattice, self)
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-        return padic_valuation(_rat_det(mat), self.prime)
+        return _pivot_valuation(self) - _pivot_valuation(super_lattice)
 
     def intersect_subspace(self, columns):
         """Sublattice of vectors lying in the rational span of the columns."""
@@ -343,13 +285,9 @@ class Lattice:
         if not conditions:
             return self
         h = self.hermite.entries
-        rows = []
-        for cond in conditions:
-            row = [sum(c * x for c, x in zip(cond, col)) for col in zip(*h)]
-            den = 1
-            for v in row:
-                den = lcm(den, v.denominator)
-            rows.append([v.numerator * (den // v.denominator) for v in row])
+        _, rows = _integer_scaled(
+            [[sum(c * x for c, x in zip(cond, col)) for col in zip(*h)] for cond in conditions]
+        )
         kern = _kernel_coordinates(rows, self.rank)
         return Lattice._from_integer(
             self.prime, self.ambient, self.exponent, mat_mul(h, kern)
@@ -365,6 +303,20 @@ def _int_valuation(x, p):
     return v
 
 
+def _pivot_rows(h):
+    """Pivot row of each column of a column Hermite basis: its lowest
+    nonzero entry."""
+    return [max(i for i, row in enumerate(h) if row[j]) for j in range(len(h[0]))]
+
+
+def _pivot_valuation(lattice):
+    """v_p det of the pivot rows of p^e H, for a lattice p^e H of rank r."""
+    h, p = lattice.hermite.entries, lattice.prime
+    return lattice.rank * lattice.exponent + sum(
+        _int_valuation(h[i][j], p) for j, i in enumerate(_pivot_rows(h))
+    )
+
+
 def _shifted(lattice, e0):
     """Rows of p^(e - e0) H for a lattice p^e H of exponent e >= e0."""
     q = lattice.prime ** (lattice.exponent - e0)
@@ -376,25 +328,6 @@ def _check_ambient(n, p):
         raise InputError(f"ambient dimension must be a positive integer, got {n!r}")
     if not is_prime(p):
         raise InputError(f"{p!r} is not a prime")
-
-
-def lattice_index(first, second):
-    """[second : first] as a p-power when first is contained in second.
-
-    For commensurable but incomparable lattices returns the pair
-    ([second : first n second], [first : first n second]).
-    """
-    first._require_compatible(second)
-    if not first.same_span(second):
-        raise CommensurabilityError("lattices are not commensurable")
-    p = first.prime
-    if second.contains(first):
-        return p ** first.index_exponent_in(second)
-    meet = first.intersect(second)
-    return (
-        p ** meet.index_exponent_in(second),
-        p ** meet.index_exponent_in(first),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +347,16 @@ class PAdicAutomorphism:
             raise InputError("automorphism matrix must be square and nonempty")
         if not is_prime(self.prime):
             raise InputError(f"{self.prime!r} is not a prime")
-        det = _rat_det(rows)
-        if det == 0:
-            from .errors import SingularityError
-
+        d, a = _integer_scaled(rows)
+        det_a = det(a)
+        if det_a == 0:
             raise SingularityError("automorphism matrix is singular")
         # Derived data computed at most once per instance.  It is not a
         # dataclass field, so equality, hashing and repr ignore it.
-        object.__setattr__(self, "_cache", {"det": det})
+        object.__setattr__(self, "_cache", {
+            "det": Fraction(det_a, d**n),
+            "integer_scaled": (d, a),
+        })
 
     def _cached(self, key, compute):
         cache = self._cache
@@ -460,10 +395,7 @@ class PAdicAutomorphism:
 
     def power(self, k):
         if k == 0:
-            return PAdicAutomorphism(
-                tuple(tuple(mat_identity(self.dimension)[i]) for i in range(self.dimension)),
-                self.prime,
-            )
+            return PAdicAutomorphism(mat_identity(self.dimension), self.prime)
         base = self if k > 0 else self.inverse()
         out = base
         for _ in range(abs(k) - 1):
@@ -471,9 +403,9 @@ class PAdicAutomorphism:
         return out
 
     def commutes_with(self, other):
-        a = mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        b = mat_mul([list(r) for r in other.matrix], [list(r) for r in self.matrix])
-        return a == b
+        # (d A)(e B) = (e B)(d A) exactly when A B = B A
+        a, b = self._cache["integer_scaled"][1], other._cache["integer_scaled"][1]
+        return mat_mul(a, b) == mat_mul(b, a)
 
     def __repr__(self):
         return f"PAdicAutomorphism(p={self.prime}, {[list(r) for r in self.matrix]})"
@@ -595,7 +527,7 @@ def _slope_decomposition(alpha):
     # Nonzero scalar multiples have the same kernel, and rat_kernel returns
     # the reduced echelon basis, so the bases are those of the products at
     # alpha.
-    d, b = _integer_scaled(alpha.matrix)
+    d, b = alpha._cache["integer_scaled"]
     pieces = []
     for slope in sorted(by_slope):
         prod = None
@@ -641,9 +573,9 @@ def expansion_exponent(alpha, lattice):
     if r == 0:
         return 0
     p = lattice.prime
-    d, a = alpha._cached("integer_scaled", lambda: _integer_scaled(alpha.matrix))
+    d, a = alpha._cache["integer_scaled"]
     h = lattice.hermite.entries
-    piv = [max(i for i in range(n) if h[i][j]) for j in range(r)]
+    piv = _pivot_rows(h)
     ah = [[sum(a[i][k] * h[k][j] for k in range(n)) for j in range(r)] for i in range(n)]
     residues = [_reduce_by_hermite(h, piv, [row[j] for row in ah]) for j in range(r)]
     moved = [res for res in residues if any(res)]
@@ -711,13 +643,6 @@ def expansion_index(alpha, lattice):
     return alpha.prime ** expansion_exponent(alpha, lattice)
 
 
-def modular_exponent(alpha, lattice):
-    """v_p of the measure ratio of alpha(V) to V (can be negative)."""
-    img = lattice.image(alpha.matrix)
-    meet = img.intersect(lattice)
-    return meet.index_exponent_in(img) - meet.index_exponent_in(lattice)
-
-
 def is_invariant(alpha, lattice):
     return lattice.image(alpha.matrix) == lattice
 
@@ -780,31 +705,6 @@ def _check_family(words, require_separable=True):
     return ws
 
 
-def eigenfactor(lattice, words):
-    """Sublattice on which every listed automorphism word is non-contracting.
-
-    Implements the common non-contracted part: the intersection of the
-    lattice with each word's slope-nonpositive subspace.  The empty list
-    returns the lattice itself.
-    """
-    ws = _check_family(words)
-    if not ws:
-        return lattice
-    if any(w.dimension != lattice.ambient or w.prime != lattice.prime for w in ws):
-        raise InputError("automorphisms and lattice live in different spaces")
-    for w in ws:
-        if expansion_index(w, lattice) != scale(w):
-            raise InputError("lattice is not tidy for a member of the family")
-    n = lattice.ambient
-    cols = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
-    for w in ws:
-        sd = slope_decomposition(w)
-        cols = _subspace_intersect(cols, sd.subspace_columns(lambda s: s <= 0), n)
-        if not cols:
-            break
-    return lattice.intersect_subspace(cols)
-
-
 def _subspace_intersect(cols_a, cols_b, n):
     if not cols_a or not cols_b:
         return []
@@ -821,41 +721,6 @@ def _subspace_intersect(cols_a, cols_b, n):
         )
         out.append(col)
     return out
-
-
-def relative_scale(words, beta, lattice, verify=False):
-    """Index by which beta expands the common eigenfactor of words + beta.
-
-    With verify=True the index is recomputed from translated tidy lattices
-    and must agree; a disagreement indicates a bug, not bad input.
-    """
-    ws = _check_family(list(words) + [beta])
-    ef = eigenfactor(lattice, ws)
-    result = _pure_expansion_index(beta, ef)
-    if verify:
-        candidates = [lattice.image(g.matrix) for g in ws]
-        prod = ws[0]
-        for g in ws[1:]:
-            prod = prod.compose(g)
-        candidates.append(lattice.image(prod.matrix))
-        for cand in candidates:
-            if any(expansion_index(g, cand) != scale(g) for g in ws):
-                continue
-            other = _pure_expansion_index(beta, eigenfactor(cand, ws))
-            if other != result:
-                raise RuntimeError(
-                    "relative scale depended on the choice of tidy lattice (internal)"
-                )
-    return result
-
-
-def _pure_expansion_index(beta, ef):
-    if ef.rank == 0:
-        return 1
-    img = ef.image(beta.matrix)
-    if not img.contains(ef):
-        raise InputError("the eigenfactor is not purely expanded by the word")
-    return beta.prime ** ef.index_exponent_in(img)
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +751,8 @@ def _common_pieces(gens):
 
 
 def _primitive_direction(nu):
-    den = 1
-    for x in nu:
-        den = lcm(den, Fraction(x).denominator)
-    w = [int(Fraction(x) * den) for x in nu]
-    content = 0
-    for x in w:
-        content = gcd(content, abs(x))
+    _, (w,) = _integer_scaled([nu])
+    content = gcd(*w)
     return tuple(x // content for x in w)
 
 

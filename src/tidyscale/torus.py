@@ -168,10 +168,6 @@ def index_exponent(inner, outer):
     return total
 
 
-def pattern_index(inner, outer, p):
-    return p ** index_exponent(inner, outer)
-
-
 def displacement_exponent(pattern, alpha):
     """v_p of [alpha(U) : alpha(U) n U] for the pattern U.
 
@@ -260,12 +256,6 @@ def root_eigenfactors(n, base=None):
                 RootEigenfactor(root=(i, j), pattern=PatternSubgroup(n, bounds))
             )
     return records, diagonal_part(n)
-
-
-def permute_root(perm, root):
-    """Relabeling of a root entry by a coordinate permutation."""
-    i, j = root
-    return (perm[i], perm[j])
 
 
 def permute_vector(perm, w):

@@ -4,21 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tidyscale.errors import InputError, SingularityError
 from tidyscale.exactmath import (
     INFINITY,
     IntegerMatrix,
+    _integer_scaled,
     charpoly,
     cokernel,
+    det,
     factor_over_q,
     hermite_form,
     hermite_form_with_transform,
     is_prime,
     kernel_basis,
+    mat_inverse,
     newton_polygon,
     padic_valuation,
+    rat_kernel,
     smith_decomposition,
     smith_invariants,
 )
@@ -257,6 +261,119 @@ class TestKernel:
             assert k.cols == m - rank
             prod = a * k
             assert all(all(x == 0 for x in row) for row in prod.entries)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free Gauss-Jordan core against Fraction eliminations
+
+
+def _fraction_inverse(a):
+    n = len(a)
+    work = [list(map(Fraction, row)) + row_id for row, row_id in
+            zip(a, ([Fraction(int(i == j)) for j in range(n)] for i in range(n)))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if piv is None:
+            raise SingularityError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def _fraction_kernel(a):
+    n = len(a)
+    m = len(a[0]) if n else 0
+    work = [list(map(Fraction, row)) for row in a]
+    pivots = []
+    rank = 0
+    for col in range(m):
+        piv = next((r for r in range(rank, n) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(n):
+            if r != rank and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [j for j in range(m) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        basis.append(v)
+    return basis
+
+
+def _fraction_det(mat):
+    work = [list(map(Fraction, row)) for row in mat]
+    n = len(work)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                f = work[r][col] * inv
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return det
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SingularityError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Small rational matrices, a third of them with a zero row, a zero
+    column or a repeated row."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 5]))
+    a = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    defect = draw(st.sampled_from([None, None, "row", "column", "repeat"]))
+    if defect == "row":
+        a[i] = [Fraction(0)] * m
+    elif defect == "column":
+        for row in a:
+            row[j] = Fraction(0)
+    elif defect == "repeat":
+        a[i] = [-2 * x for x in a[draw(st.integers(0, n - 1))]]
+    return a
+
+
+@given(_rational_matrices())
+@example([[Fraction(0)]])
+@example([[Fraction(-2, 3)]])
+@example([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]])
+@settings(max_examples=100, deadline=None)
+def test_gauss_jordan_matches_fraction_elimination(a):
+    assert rat_kernel(a) == _fraction_kernel(a)
+    k = min(len(a), len(a[0]))
+    square = [row[:k] for row in a[:k]]
+    assert _outcome(mat_inverse, square) == _outcome(_fraction_inverse, square)
+    d, scaled = _integer_scaled(square)
+    assert det(scaled) == _fraction_det(square) * d**k
+    assert det(scaled) == _fraction_det(scaled)
 
 
 def _sympy_factors(coeffs):

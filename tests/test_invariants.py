@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tidyscale import finprod as fp
+from tidyscale import invariants as inv
 from tidyscale import padic as pd
 from tidyscale.errors import (
     InputError,
@@ -25,6 +26,7 @@ from tidyscale.errors import (
     SlopeSeparabilityError,
     UnsupportedInputError,
 )
+from tidyscale.exactmath import IntegerMatrix, smith_invariants
 from tidyscale.invariants import (
     DiagonalBackend,
     EigenfactorRecord,
@@ -34,6 +36,7 @@ from tidyscale.invariants import (
     full_report,
     m_set,
     rank_corank,
+    records_matrix,
     relative_scale_table,
     separation_sequence,
     verify_suite,
@@ -489,6 +492,20 @@ class TestGeometry:
         mset = m_set(_fake_records([(2, 4)]), 2)
         assert mset.points == ((2,),)
 
+    def test_m_set_basis_is_reduced(self):
+        # reducing above the pivots from the last one up would leave
+        # (1, 0, -114, 360) as the first row
+        records = _fake_records([(1, 1, 0, -2), (-2, -3, 3, -3), (-2, 3, -2, -2)])
+        basis = inv._saturated_row_basis(records_matrix(records))
+        assert basis == [(1, 0, 3, -9), (0, 1, 10, -34), (0, 0, 13, -41)]
+        assert m_set(records, 4).points == ((1, 1, -1), (-2, -3, 3), (-2, 3, -2))
+
+    def test_coordinate_errors(self):
+        with pytest.raises(InputError, match="functional lies outside the basis span"):
+            inv._coordinates((1, 0), [(0, 1)])
+        with pytest.raises(InputError, match="non-integer coordinate over the saturated basis"):
+            inv._coordinates((1, 1), [(2, 0), (0, 1)])
+
     def test_zero_point_rejected(self):
         with pytest.raises(InputError):
             separation_sequence([(0, 0), (1, 0)])
@@ -751,3 +768,54 @@ class TestRandomFamilies:
             assert rep.rank == n - 1
             report = verify_suite(backend, rep.records, identity_length=2)
             assert report.ok, report.failures()
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=4
+    ),
+    st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_saturated_row_basis_is_canonical(rows, width):
+    rows = [row[:width] for row in rows]
+    if not any(any(row) for row in rows):
+        return
+    mat = IntegerMatrix(tuple(map(tuple, rows)))
+    basis = inv._saturated_row_basis(mat)
+    leads = [next(c for c, x in enumerate(row) if x) for row in basis]
+    assert leads == sorted(set(leads))
+    for i, (row, c) in enumerate(zip(basis, leads)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in basis[:i])
+    assert inv._saturated_row_basis(IntegerMatrix(tuple(basis))) == basis
+    # the rows have integer coordinates, and the basis has the rank of mat
+    for row in rows:
+        inv._coordinates(row, basis)
+    assert len(basis) == smith_invariants(mat)[0]
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=3
+    ),
+    st.integers(1, 3),
+    st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_combination_matches_exhaustive_search(rows, width, target):
+    rows = [row[:width] for row in rows]
+    target = target[:width]
+
+    def combine(c):
+        return [sum(ci * row[k] for ci, row in zip(c, rows)) for k in range(width)]
+
+    box = itertools.product(range(-4, 5), repeat=len(rows))
+    found = next((c for c in box if combine(c) == target), None)
+    got = inv._solve_integer_combination(rows, target)
+    if got is None:
+        assert found is None
+    else:
+        assert len(got) == len(rows) and combine(got) == target
+    if found is not None:
+        assert got is not None

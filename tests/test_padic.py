@@ -14,6 +14,7 @@ from conftest import random_separable, random_unimodular, seeded_rng
 from tidyscale import padic as pd
 from tidyscale.errors import (
     CommensurabilityError,
+    InfiniteIndexError,
     InputError,
     SingularityError,
     SlopeSeparabilityError,
@@ -22,12 +23,12 @@ from tidyscale.errors import (
 )
 from tidyscale.exactmath import (
     _integer_scaled,
+    det,
     factor_over_q,
     hermite_form,
     mat_identity,
     mat_inverse,
     mat_mul,
-    mat_vec,
     newton_polygon,
     padic_valuation,
     rat_kernel,
@@ -37,13 +38,10 @@ from tidyscale.padic import (
     Lattice,
     PAdicAutomorphism,
     common_tidy,
-    eigenfactor,
     expansion_index,
     family_eigenfactors,
     is_invariant,
-    lattice_index,
     parts,
-    relative_scale,
     scale,
     slope_decomposition,
     step1_tidy,
@@ -53,6 +51,176 @@ from tidyscale.padic import (
 
 def aut(rows, p=3):
     return PAdicAutomorphism(tuple(tuple(F(x) for x in r) for r in rows), p)
+
+
+# ---------------------------------------------------------------------------
+# reference routes: lattice indices through a rational Gram solve, and the
+# relative scale of a word read off the common non-contracted part
+
+
+def mat_vec(a, v):
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
+def _solve_in_span(basis_cols, targets, n):
+    """Solve B x = t for each target, B the n x r matrix with the given
+    columns (full column rank).  Returns the r x k solution columns, or None
+    when some target leaves the span."""
+    r = len(basis_cols)
+    if r == 0:
+        if any(any(x != 0 for x in t) for t in targets):
+            return None
+        return [[] for _ in targets]
+    # Gram trick: B^T B is invertible over Q exactly when columns are
+    # independent, because x^T B^T B x is a sum of rational squares.
+    bt = [list(c) for c in basis_cols]  # r x n
+    gram = [[sum(bt[i][t] * bt[j][t] for t in range(n)) for j in range(r)] for i in range(r)]
+    ginv = mat_inverse(gram)
+    sols = []
+    for t in targets:
+        rhs = [sum(bt[i][k] * t[k] for k in range(n)) for i in range(r)]
+        x = mat_vec(ginv, rhs)
+        back = [sum(basis_cols[j][i] * x[j] for j in range(r)) for i in range(n)]
+        if any(a != b for a, b in zip(back, t)):
+            return None
+        sols.append(x)
+    return sols
+
+
+def _rational_det(rows):
+    d, scaled = _integer_scaled(rows)
+    return F(det(scaled), d ** len(scaled))
+
+
+def _reference_member(lattice, vector):
+    v = [F(x) for x in vector]
+    if len(v) != lattice.ambient:
+        raise InputError("vector length does not match the ambient space")
+    if all(x == 0 for x in v):
+        return True
+    if lattice.rank == 0:
+        return False
+    sols = _solve_in_span(lattice.basis_columns(), [v], lattice.ambient)
+    if sols is None:
+        return False
+    return all(padic_valuation(x, lattice.prime) >= 0 for x in sols[0])
+
+
+def _reference_same_span(first, second):
+    first._require_compatible(second)
+    if first.rank != second.rank:
+        return False
+    if first.rank == 0:
+        return True
+    return (
+        _solve_in_span(first.basis_columns(), second.basis_columns(), first.ambient)
+        is not None
+    )
+
+
+def _reference_index_exponent(sub, super_lattice):
+    """v_p [super : sub] by the coordinates of sub's basis over super's."""
+    sub._require_compatible(super_lattice)
+    if sub.rank != super_lattice.rank:
+        raise CommensurabilityError(
+            f"ranks differ: {sub.rank} vs {super_lattice.rank}"
+        )
+    if sub.rank == 0:
+        return 0
+    cols = _solve_in_span(
+        super_lattice.basis_columns(), sub.basis_columns(), sub.ambient
+    )
+    if cols is None:
+        raise CommensurabilityError("lattices span different subspaces")
+    if any(padic_valuation(v, sub.prime) < 0 for col in cols for v in col):
+        raise InfiniteIndexError(super_lattice, sub)
+    return padic_valuation(_rational_det(cols), sub.prime)
+
+
+def lattice_index(first, second):
+    """[second : first] as a p-power when first is contained in second.
+
+    For commensurable but incomparable lattices returns the pair
+    ([second : first n second], [first : first n second]).
+    """
+    first._require_compatible(second)
+    if not first.same_span(second):
+        raise CommensurabilityError("lattices are not commensurable")
+    p = first.prime
+    if second.contains(first):
+        return p ** first.index_exponent_in(second)
+    meet = first.intersect(second)
+    return (
+        p ** meet.index_exponent_in(second),
+        p ** meet.index_exponent_in(first),
+    )
+
+
+def modular_exponent(alpha, lattice):
+    """v_p of the measure ratio of alpha(V) to V (can be negative)."""
+    img = lattice.image(alpha.matrix)
+    meet = img.intersect(lattice)
+    return meet.index_exponent_in(img) - meet.index_exponent_in(lattice)
+
+
+def eigenfactor(lattice, words):
+    """Sublattice on which every listed automorphism word is non-contracting.
+
+    Implements the common non-contracted part: the intersection of the
+    lattice with each word's slope-nonpositive subspace.  The empty list
+    returns the lattice itself.
+    """
+    ws = pd._check_family(words)
+    if not ws:
+        return lattice
+    if any(w.dimension != lattice.ambient or w.prime != lattice.prime for w in ws):
+        raise InputError("automorphisms and lattice live in different spaces")
+    for w in ws:
+        if expansion_index(w, lattice) != scale(w):
+            raise InputError("lattice is not tidy for a member of the family")
+    n = lattice.ambient
+    cols = [tuple(F(int(i == j)) for i in range(n)) for j in range(n)]
+    for w in ws:
+        sd = slope_decomposition(w)
+        cols = pd._subspace_intersect(cols, sd.subspace_columns(lambda s: s <= 0), n)
+        if not cols:
+            break
+    return lattice.intersect_subspace(cols)
+
+
+def relative_scale(words, beta, lattice, verify=False):
+    """Index by which beta expands the common eigenfactor of words + beta.
+
+    With verify=True the index is recomputed from translated tidy lattices
+    and must agree; a disagreement indicates a bug, not bad input.
+    """
+    ws = pd._check_family(list(words) + [beta])
+    ef = eigenfactor(lattice, ws)
+    result = _pure_expansion_index(beta, ef)
+    if verify:
+        candidates = [lattice.image(g.matrix) for g in ws]
+        prod = ws[0]
+        for g in ws[1:]:
+            prod = prod.compose(g)
+        candidates.append(lattice.image(prod.matrix))
+        for cand in candidates:
+            if any(expansion_index(g, cand) != scale(g) for g in ws):
+                continue
+            other = _pure_expansion_index(beta, eigenfactor(cand, ws))
+            if other != result:
+                raise RuntimeError(
+                    "relative scale depended on the choice of tidy lattice (internal)"
+                )
+    return result
+
+
+def _pure_expansion_index(beta, ef):
+    if ef.rank == 0:
+        return 1
+    img = ef.image(beta.matrix)
+    if not img.contains(ef):
+        raise InputError("the eigenfactor is not purely expanded by the word")
+    return beta.prime ** ef.index_exponent_in(img)
 
 
 DIAG = aut([[F(1, 3), 0, 0], [0, 1, 0], [0, 0, 3]])
@@ -396,8 +564,6 @@ class TestFamilyEigenfactors:
         assert inert == Lattice.span(3, [(1, 0, 0)], ambient=3)
 
     def test_delta_weight_matches_measure_ratio(self):
-        from tidyscale.padic import modular_exponent
-
         recs, _ = family_eigenfactors([A1, A2])
         for rec in recs:
             for exps in itertools.product(range(-2, 3), repeat=2):
@@ -446,6 +612,48 @@ def test_canonical_form_is_stable(seed):
         assert bumped.exponent == lat.exponent + 1
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_hermite_queries_match_gram_solve(seed):
+    # member, same_span and index_exponent_in read Hermite bases; the
+    # reference solves for coordinates through the Gram matrix
+    rng = seeded_rng(seed)
+    p = rng.choice([2, 3, 5])
+    n = rng.randint(1, 4)
+    dens = [1, 1, p, 2 * p, 7]
+
+    def vector():
+        return [F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
+
+    first = Lattice.span(p, [vector() for _ in range(rng.randint(0, n))], ambient=n)
+    cols = first.basis_columns()
+    k = rng.choice(["contained", "same span", "random"])
+    if k == "random" or not cols:
+        gens = [vector() for _ in range(rng.randint(0, n))]
+    else:
+        pool = [1, -1, 2, p] if k == "contained" else [1, -1, F(1, p), F(2, p * p)]
+        gens = [
+            [sum(rng.choice(pool) * c[i] for c in cols) for i in range(n)]
+            for _ in range(len(cols))
+        ]
+    second = Lattice.span(p, gens, ambient=n)
+    for a, b in [(first, second), (second, first), (first, first)]:
+        assert a.same_span(b) == _reference_same_span(a, b)
+        assert _outcome(a.index_exponent_in, b) == _outcome(
+            _reference_index_exponent, a, b
+        )
+    for lat in (first, second):
+        probes = [vector(), [0] * n] + [
+            [x * rng.choice([1, 3, F(1, p)]) for x in c] for c in lat.basis_columns()
+        ]
+        for v in probes:
+            assert lat.member(v) == _reference_member(lat, v)
+    wrong = [0] * (n + 1)
+    assert _outcome(first.member, wrong) == _outcome(
+        _reference_member, first, wrong
+    )
+
+
 def _coordinates(basis, v):
     """x with sum_j x_j basis_j = v for linearly independent columns, by an
     exact rational solve; None when v leaves their span."""
@@ -489,7 +697,7 @@ def test_span_satisfies_its_defining_conditions(seed):
         return
     # the coordinate map Z_(p)^m -> Z_(p)^r is onto: some r x r minor is a unit
     minors = [
-        pd._rat_det([[coords[j][i] for j in cols] for i in range(r)])
+        _rational_det([[coords[j][i] for j in cols] for i in range(r)])
         for cols in itertools.combinations(range(len(gens)), r)
     ]
     assert any(padic_valuation(m, p) == 0 for m in minors)
@@ -497,8 +705,7 @@ def test_span_satisfies_its_defining_conditions(seed):
     assert hermite_form(h) == h
     content = 0
     for rows in itertools.combinations(range(n), r):
-        minor = pd._rat_det([[F(x) for x in h.entries[i]] for i in rows])
-        content = math.gcd(content, int(minor))
+        content = math.gcd(content, det([h.entries[i] for i in rows]))
     while content % p == 0:
         content //= p
     assert content == 1
@@ -606,6 +813,19 @@ class TestSpectralData:
         assert repr(filled) == repr(fresh)
         assert {fresh: "x"}[filled] == "x"
         assert filled.inverse().inverse() == filled == fresh.inverse().inverse()
+
+    def test_commutes_with_matches_fraction_products(self):
+        # commutes_with compares products of the integer-scaled matrices
+        rng = seeded_rng(77)
+        for _ in range(12):
+            p = rng.choice([2, 3])
+            a = random_separable(rng, 3, p)
+            others = [a.power(2), a.inverse(), random_separable(rng, 3, p)]
+            for b in others:
+                x, y = [list(r) for r in a.matrix], [list(r) for r in b.matrix]
+                assert a.commutes_with(b) == (mat_mul(x, y) == mat_mul(y, x))
+        assert aut([[F(1, 3), 0], [0, 2]]).commutes_with(aut([[5, 0], [0, F(1, 7)]]))
+        assert not SWAP.commutes_with(aut([[F(1, 3), 0], [0, 3]]))
 
     def test_separability_error_repeats(self):
         a = aut([[0, 1], [-3, 10]])

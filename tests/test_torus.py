@@ -23,13 +23,21 @@ from tidyscale.torus import (
     halving_factorization_check,
     index_exponent,
     iwahori,
-    pattern_index,
     pattern_residues,
-    permute_root,
     permute_vector,
     root_eigenfactors,
     sign_pattern_factor,
 )
+
+def pattern_index(inner, outer, p):
+    return p ** index_exponent(inner, outer)
+
+
+def permute_root(perm, root):
+    """Relabeling of a root entry by a coordinate permutation."""
+    i, j = root
+    return (perm[i], perm[j])
+
 
 A1 = DiagonalAutomorphism((-1, 0, 1))
 A2 = DiagonalAutomorphism((0, -1, 1))
